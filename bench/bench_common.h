@@ -21,6 +21,15 @@ namespace bench {
 
 inline ExperimentDefaults BenchDefaults() {
   ExperimentDefaults d = ExperimentDefaults::FromEnvironment();
+  // A zero (or non-numeric) size from the environment is rejected like
+  // the equivalent flag: benches divide by these counts.
+  for (const char* name : {"LILSM_N", "LILSM_OPS", "LILSM_VALUE_SIZE"}) {
+    const char* v = std::getenv(name);
+    if (v != nullptr && std::strtoull(v, nullptr, 10) == 0) {
+      std::fprintf(stderr, "%s must be positive\n", name);
+      std::exit(2);
+    }
+  }
   if (std::getenv("LILSM_N") == nullptr) d.num_keys = 60'000;
   if (std::getenv("LILSM_OPS") == nullptr) d.num_ops = 6'000;
   if (std::getenv("LILSM_VALUE_SIZE") == nullptr) d.value_size = 120;

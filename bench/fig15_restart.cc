@@ -1,11 +1,8 @@
 // Figure 15 (beyond the paper): restart time with persisted learned
-// models. One compacted level-granularity tree is opened four ways —
+// models. One compacted level-granularity tree is opened three ways —
 //
 //   sidecar   kCompactionMaintained + kSidecar: models stitched from the
 //             tables' persisted sidecar blocks (zero key scans)
-//   stitch    kCompactionMaintained + kStitchInMemory: models stitched
-//             from each reader's decoded index blob (zero key re-reads,
-//             but every table is opened and parsed)
 //   retrain   kCompactionMaintained + kRetrainOnOpen: models rebuilt
 //             from a full key scan at open
 //   lazy      kLazyRebuild: open does no model work; the first reads pay
@@ -14,13 +11,14 @@
 // — reporting DB::Open wall time, first-read latency, and the mean of
 // the first 100 reads, plus the model-load counters that prove where the
 // work went. A running checksum over identical read sequences proves all
-// four opens serve bit-identical results. Results also land in
+// three opens serve bit-identical results. Results also land in
 // BENCH_pr10.json (cwd) for CI artifact upload.
 //
 //   fig15_restart            # full sweep
 //   fig15_restart --n 4000   # the smoke_fig15_restart ctest entry
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -41,12 +39,11 @@ struct Mode {
 constexpr Mode kModes[] = {
     {"sidecar", LevelModelPolicy::kCompactionMaintained,
      ModelPersistence::kSidecar},
-    {"stitch", LevelModelPolicy::kCompactionMaintained,
-     ModelPersistence::kStitchInMemory},
     {"retrain", LevelModelPolicy::kCompactionMaintained,
      ModelPersistence::kRetrainOnOpen},
     {"lazy", LevelModelPolicy::kLazyRebuild, ModelPersistence::kSidecar},
 };
+constexpr size_t kNumModes = std::size(kModes);
 
 struct ModeResult {
   double open_ms = 0;
@@ -131,7 +128,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader("Figure 15",
                      "restart time with persisted learned models", d);
 
-  // Build one compacted tree all four opens share.
+  // Build one compacted tree every open shares.
   const std::string dbdir = bench::BenchDir("fig15");
   std::vector<Key> keys = GenerateKeys(d.dataset, d.num_keys, d.seed);
   {
@@ -165,8 +162,8 @@ int main(int argc, char** argv) {
   ReportTable table("Figure 15: open + first-read cost by model source");
   table.SetHeader({"mode", "open_ms", "first_read_us", "mean100_read_us",
                    "models_from_disk", "model_scan_MB"});
-  ModeResult results[4];
-  for (size_t m = 0; m < 4; m++) {
+  ModeResult results[kNumModes];
+  for (size_t m = 0; m < kNumModes; m++) {
     Status s = RunMode(kModes[m], d, dbdir, keys, probes, &results[m]);
     if (!s.ok()) {
       std::fprintf(stderr, "fig15 %s: %s\n", kModes[m].name,
@@ -181,7 +178,7 @@ int main(int argc, char** argv) {
   }
   table.Emit();
 
-  for (size_t m = 1; m < 4; m++) {
+  for (size_t m = 1; m < kNumModes; m++) {
     if (results[m].checksum != results[0].checksum) {
       std::fprintf(stderr,
                    "fig15: mode %s returned DIFFERENT Get results\n",
@@ -189,8 +186,9 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  std::printf("# Get results identical across all four open modes "
+  std::printf("# Get results identical across all %zu open modes "
               "(checksum %llx)\n",
+              kNumModes,
               static_cast<unsigned long long>(results[0].checksum));
   if (results[0].model_build_bytes != 0) {
     std::fprintf(stderr, "fig15: sidecar open scanned %llu key bytes\n",
@@ -203,7 +201,7 @@ int main(int argc, char** argv) {
   if (json != nullptr) {
     std::fprintf(json, "{\"bench\":\"fig15_restart\",\"n\":%zu,\"modes\":[",
                  d.num_keys);
-    for (size_t m = 0; m < 4; m++) {
+    for (size_t m = 0; m < kNumModes; m++) {
       const ModeResult& r = results[m];
       std::fprintf(
           json,

@@ -181,6 +181,13 @@ class DBImpl final : public DB {
 
   Status Write(const WriteOptions& wopts, WriteBatch* batch) override {
     if (batch->Count() == 0) return Status::OK();
+    if (options_.table_format == TableFormat::kSegmented) {
+      // Admission: a wrong-size value would be acknowledged, then fail
+      // every flush — and every reopen's recovery flush. Reject the batch
+      // before it is queued or reaches the WAL.
+      Status s = batch->CheckValueSizes(options_.value_size);
+      if (!s.ok()) return s;
+    }
     MutexLock lock(&mutex_);
     if (options_.group_commit) return WriteGrouped(wopts, batch);
     if (background_mode()) {
@@ -528,7 +535,13 @@ class DBImpl final : public DB {
   bool maintained_models() const {
     return options_.level_model_policy ==
                LevelModelPolicy::kCompactionMaintained &&
-           options_.index_granularity == IndexGranularity::kLevel &&
+           level_models();
+  }
+
+  /// True when lookups below L0 consult level models: kLevel granularity
+  /// over segmented tables (block tables have no positional entries).
+  bool level_models() const {
+    return options_.index_granularity == IndexGranularity::kLevel &&
            options_.table_format == TableFormat::kSegmented;
   }
 
@@ -655,7 +668,9 @@ class DBImpl final : public DB {
   /// bloom filter, and learned index are consulted per run (the segmented
   /// reader additionally reuses its fetched block across a run). Under
   /// kLevel granularity the level model is resolved once per level and
-  /// its per-key predictions are handed to the reader as bounds.
+  /// its per-key predictions are handed to the reader as bounds. Each
+  /// level is planned once; with io_depth > 1 the runs of a level below
+  /// L0 then register their reads on one batch, so they overlap.
   Status MultiGetFromView(const ReadView& view, std::span<const Key> keys,
                           std::vector<std::string>* values,
                           std::vector<Status>* statuses, Stats* sink,
@@ -700,60 +715,120 @@ class DBImpl final : public DB {
       }
     }
 
-    const Version& v = *view.version;
-    // Scratch shared by every run of the batch, reused without shrinking.
+    // One level's plan: runs of ascending keys, one per consulted table,
+    // over flat arrays that every level reuses without shrinking.
+    struct Run {
+      size_t file = 0;              // index into the level's file list
+      size_t begin = 0, end = 0;    // [begin, end) of the flat arrays
+      std::shared_ptr<TableReader> reader;
+      std::unique_ptr<PendingMultiGet> pending;
+    };
+    std::vector<Run> runs;
     std::vector<uint32_t> run_idx;
     std::vector<Key> run_keys;
+    std::vector<size_t> run_lo, run_hi;
     std::vector<std::string> run_values;
     std::vector<uint64_t> run_tags;
     std::unique_ptr<bool[]> run_found(new bool[n]);
-    std::vector<size_t> run_lo, run_hi;
 
-    /// Serves `run_keys` (ascending) against one table and resolves hits.
-    /// `bounds` toggles the level-model prediction arrays.
-    auto serve_run = [&](const FileMeta& meta, bool bounds) -> Status {
-      sink->Add(Counter::kTablesConsulted);
-      std::shared_ptr<TableReader> reader;
-      Status s = table_cache_->GetReader(meta.number, &reader);
-      if (!s.ok()) return s;
-      run_values.assign(run_keys.size(), std::string());
-      run_tags.assign(run_keys.size(), 0);
-      std::fill(run_found.get(), run_found.get() + run_keys.size(), false);
-      s = reader->MultiGet(std::span<const Key>(run_keys),
-                           bounds ? run_lo.data() : nullptr,
-                           bounds ? run_hi.data() : nullptr,
-                           run_values.data(), run_tags.data(),
-                           run_found.get(), sink, fill_cache);
-      if (!s.ok()) return s;
-      for (size_t r = 0; r < run_keys.size(); r++) {
+    auto clear_plan = [&]() {
+      runs.clear();
+      run_idx.clear();
+      run_keys.clear();
+    };
+    /// Appends key `idx` to the plan, opening a run when `file` changes.
+    auto add_key = [&](uint32_t idx, size_t file) {
+      if (runs.empty() || runs.back().file != file) {
+        runs.push_back(Run{file, run_keys.size(), run_keys.size(), {}, {}});
+      }
+      runs.back().end++;
+      run_idx.push_back(idx);
+      run_keys.push_back(keys[idx]);
+    };
+    /// Serves the planned runs against `files` and resolves their hits:
+    /// inline through each reader's MultiGet, or (`async`) Prepare every
+    /// run on one read batch, Wait once, then Finish every run. `model`
+    /// (may be null) supplies each run's level-model windows; a run with
+    /// any key the model cannot place falls back to the per-file index.
+    auto serve_runs = [&](const std::vector<FileMeta>& files,
+                          const LevelModel* model, bool async) -> Status {
+      const size_t total = run_keys.size();
+      run_values.assign(total, std::string());
+      run_tags.assign(total, 0);
+      std::fill(run_found.get(), run_found.get() + total, false);
+      if (model != nullptr) {
+        run_lo.resize(total);
+        run_hi.resize(total);
+      }
+      std::unique_ptr<ReadBatch> batch =
+          async ? env_->NewReadBatch(options_.io_depth) : nullptr;
+      for (Run& run : runs) {
+        bool bounds = model != nullptr;
+        for (size_t r = run.begin; r < run.end && bounds; r++) {
+          bounds = ModelCatalog::PredictInFile(*model, run_keys[r], run.file,
+                                               &run_lo[r], &run_hi[r]);
+        }
+        sink->Add(Counter::kTablesConsulted);
+        Status s = table_cache_->GetReader(files[run.file].number,
+                                           &run.reader);
+        if (!s.ok()) return s;
+        const std::span<const Key> rkeys(run_keys.data() + run.begin,
+                                         run.end - run.begin);
+        const size_t* lo = bounds ? run_lo.data() + run.begin : nullptr;
+        const size_t* hi = bounds ? run_hi.data() + run.begin : nullptr;
+        s = async ? run.reader->PrepareMultiGet(rkeys, lo, hi, batch.get(),
+                                                &run.pending, sink,
+                                                fill_cache)
+                  : run.reader->MultiGet(rkeys, lo, hi,
+                                         &run_values[run.begin],
+                                         &run_tags[run.begin],
+                                         &run_found[run.begin], sink,
+                                         fill_cache);
+        if (!s.ok()) return s;
+      }
+      if (async) {
+        Status ws;
+        {
+          ScopedTimer reap_timer(sink, Timer::kAsyncReap, env_);
+          ws = batch->Wait();
+        }
+        sink->Add(Counter::kAsyncBatches);
+        if (!ws.ok()) return ws;
+        for (Run& run : runs) {
+          Status s = run.reader->FinishMultiGet(
+              run.pending.get(), &run_values[run.begin],
+              &run_tags[run.begin], &run_found[run.begin], sink);
+          if (!s.ok()) return s;
+        }
+      }
+      for (size_t r = 0; r < total; r++) {
         if (!run_found[r]) continue;
-        const uint32_t idx = run_idx[r];
-        (*values)[idx] = std::move(run_values[r]);
-        resolve(idx, TagType(run_tags[r]) != kTypeValue);
+        (*values)[run_idx[r]] = std::move(run_values[r]);
+        resolve(run_idx[r], TagType(run_tags[r]) != kTypeValue);
       }
       return Status::OK();
     };
 
+    const Version& v = *view.version;
     // Level 0: files may overlap, so serve newest-first; each file gets
-    // the (still ascending) subset of unresolved keys in its range.
-    if (remaining > 0 && !v.files(0).empty()) {
+    // the (still ascending) subset of unresolved keys in its range, and
+    // must finish before the next file is planned — hence inline.
+    const std::vector<FileMeta>& l0 = v.files(0);
+    if (remaining > 0 && !l0.empty()) {
       const uint64_t level_start = env_->NowNanos();
       bool consulted = false;
-      for (const FileMeta& meta : v.files(0)) {
-        if (remaining == 0) break;
-        run_idx.clear();
-        run_keys.clear();
+      for (size_t f = 0; f < l0.size() && remaining > 0; f++) {
+        clear_plan();
         for (uint32_t idx : order) {
           if (done[idx]) continue;
           const Key key = keys[idx];
-          if (key > meta.largest) break;  // ascending: the rest is past it
-          if (key < meta.smallest) continue;
-          run_idx.push_back(idx);
-          run_keys.push_back(key);
+          if (key > l0[f].largest) break;  // ascending: the rest is past it
+          if (key < l0[f].smallest) continue;
+          add_key(idx, f);
         }
-        if (run_idx.empty()) continue;
+        if (runs.empty()) continue;
         consulted = true;
-        Status s = serve_run(meta, /*bounds=*/false);
+        Status s = serve_runs(l0, /*model=*/nullptr, /*async=*/false);
         if (!s.ok()) return abort_with(s);
       }
       if (consulted) sink->AddLevelRead(0, env_->NowNanos() - level_start);
@@ -763,22 +838,20 @@ class DBImpl final : public DB {
       const std::vector<FileMeta>& files = v.files(level);
       if (files.empty()) continue;
       const uint64_t level_start = env_->NowNanos();
-      bool consulted = false;
 
       // Resolve the level model once for the whole batch (single-key Get
       // pays the catalog round-trip per lookup).
       LevelModelRef model;
-      if (options_.index_granularity == IndexGranularity::kLevel &&
-          options_.table_format == TableFormat::kSegmented) {
+      if (level_models()) {
         model = model_catalog_->GetOrBuild(v, level, table_cache_.get(),
                                            options_.index_type,
                                            options_.index_config);
       }
 
       // Walk files and sorted keys in lockstep (the batched equivalent of
-      // per-key FindFile), recording which file serves each unresolved
-      // key. The I/O happens after, outside the kTableLookup timer.
-      std::vector<std::pair<uint32_t, size_t>> targets;  // (key idx, file)
+      // per-key FindFile), cutting a run at every file change. The I/O
+      // happens after, outside the kTableLookup timer.
+      clear_plan();
       {
         ScopedTimer timer(sink, Timer::kTableLookup, env_);
         size_t fi = 0;
@@ -788,127 +861,13 @@ class DBImpl final : public DB {
           while (fi < files.size() && files[fi].largest < key) fi++;
           if (fi == files.size()) break;
           if (key < files[fi].smallest) continue;
-          targets.emplace_back(idx, fi);
+          add_key(idx, fi);
         }
       }
-
-      if (options_.io_depth > 1 && !targets.empty()) {
-        // Async path (DBOptions::io_depth > 1): plan every run of the
-        // level first, let each reader decompose its run into cache-aware
-        // spans registered with ONE read batch, fetch all cold spans of
-        // the level concurrently, then finish each run against the fetched
-        // bytes. Results are bit-identical to the serial run loop below.
-        struct RunPlan {
-          size_t file_idx = 0;
-          std::vector<uint32_t> idx;
-          std::vector<Key> run_keys;
-          std::vector<size_t> lo, hi;
-          bool bounds = false;
-          std::shared_ptr<TableReader> reader;
-          std::unique_ptr<PendingMultiGet> pending;
-          std::vector<std::string> vals;
-          std::vector<uint64_t> tags;
-          std::unique_ptr<bool[]> found;
-        };
-        std::vector<RunPlan> plans;
-        for (size_t t = 0; t < targets.size();) {
-          const size_t run_file = targets[t].second;
-          RunPlan plan;
-          plan.file_idx = run_file;
-          for (; t < targets.size() && targets[t].second == run_file; t++) {
-            plan.idx.push_back(targets[t].first);
-            plan.run_keys.push_back(keys[targets[t].first]);
-          }
-          plan.bounds = model != nullptr;
-          if (plan.bounds) {
-            plan.lo.resize(plan.run_keys.size());
-            plan.hi.resize(plan.run_keys.size());
-            for (size_t r = 0; r < plan.run_keys.size() && plan.bounds;
-                 r++) {
-              plan.bounds = ModelCatalog::PredictInFile(
-                  *model, plan.run_keys[r], run_file, &plan.lo[r],
-                  &plan.hi[r]);
-            }
-          }
-          plans.push_back(std::move(plan));
-        }
-        consulted = true;
-        auto batch = env_->NewReadBatch(options_.io_depth);
-        for (auto& plan : plans) {
-          sink->Add(Counter::kTablesConsulted);
-          Status s = table_cache_->GetReader(files[plan.file_idx].number,
-                                             &plan.reader);
-          if (!s.ok()) return abort_with(s);
-          plan.vals.assign(plan.run_keys.size(), std::string());
-          plan.tags.assign(plan.run_keys.size(), 0);
-          plan.found.reset(new bool[plan.run_keys.size()]());
-          Status ps = plan.reader->PrepareMultiGet(
-              std::span<const Key>(plan.run_keys),
-              plan.bounds ? plan.lo.data() : nullptr,
-              plan.bounds ? plan.hi.data() : nullptr, batch.get(),
-              &plan.pending, sink, fill_cache);
-          // NotSupported (a reader without an async path) falls back to
-          // its synchronous MultiGet after the batch completes.
-          if (!ps.ok() && !ps.IsNotSupported()) return abort_with(ps);
-        }
-        Status ws;
-        {
-          ScopedTimer reap_timer(sink, Timer::kAsyncReap, env_);
-          ws = batch->Wait();
-        }
-        sink->Add(Counter::kAsyncBatches);
-        if (!ws.ok()) return abort_with(ws);
-        for (auto& plan : plans) {
-          Status s;
-          if (plan.pending != nullptr) {
-            s = plan.reader->FinishMultiGet(plan.pending.get(),
-                                            plan.vals.data(),
-                                            plan.tags.data(),
-                                            plan.found.get(), sink);
-          } else {
-            s = plan.reader->MultiGet(std::span<const Key>(plan.run_keys),
-                                      plan.bounds ? plan.lo.data() : nullptr,
-                                      plan.bounds ? plan.hi.data() : nullptr,
-                                      plan.vals.data(), plan.tags.data(),
-                                      plan.found.get(), sink, fill_cache);
-          }
-          if (!s.ok()) return abort_with(s);
-          for (size_t r = 0; r < plan.run_keys.size(); r++) {
-            if (!plan.found[r]) continue;
-            const uint32_t idx = plan.idx[r];
-            (*values)[idx] = std::move(plan.vals[r]);
-            resolve(idx, TagType(plan.tags[r]) != kTypeValue);
-          }
-        }
-        sink->AddLevelRead(level, env_->NowNanos() - level_start);
-        continue;
-      }
-
-      for (size_t t = 0; t < targets.size();) {
-        const size_t run_file = targets[t].second;
-        run_idx.clear();
-        run_keys.clear();
-        for (; t < targets.size() && targets[t].second == run_file; t++) {
-          run_idx.push_back(targets[t].first);
-          run_keys.push_back(keys[targets[t].first]);
-        }
-        consulted = true;
-        bool bounds = model != nullptr;
-        if (bounds) {
-          run_lo.resize(run_keys.size());
-          run_hi.resize(run_keys.size());
-          for (size_t r = 0; r < run_keys.size() && bounds; r++) {
-            bounds = ModelCatalog::PredictInFile(*model, run_keys[r],
-                                                 run_file, &run_lo[r],
-                                                 &run_hi[r]);
-          }
-        }
-        Status s = serve_run(files[run_file], bounds);
-        if (!s.ok()) return abort_with(s);
-      }
-      if (consulted) {
-        sink->AddLevelRead(level, env_->NowNanos() - level_start);
-      }
+      if (runs.empty()) continue;
+      Status s = serve_runs(files, model.get(), options_.io_depth > 1);
+      if (!s.ok()) return abort_with(s);
+      sink->AddLevelRead(level, env_->NowNanos() - level_start);
     }
     return Status::OK();
   }
@@ -935,14 +894,15 @@ class DBImpl final : public DB {
     {
       const uint64_t level_start = env_->NowNanos();
       bool consulted = false;
-      for (const FileMeta& meta : v.files(0)) {
-        if (key < meta.smallest || key > meta.largest) continue;
+      const std::vector<FileMeta>& l0 = v.files(0);
+      for (size_t f = 0; f < l0.size(); f++) {
+        if (key < l0[f].smallest || key > l0[f].largest) continue;
         consulted = true;
         sink->Add(Counter::kTablesConsulted);
         bool found = false;
         uint64_t tag = 0;
-        Status s = TableGet(meta, /*level=*/0, key, value, &tag, &found, sink,
-                            fill_cache);
+        Status s = TableGetAtLevel(v, 0, f, key, value, &tag, &found, sink,
+                                   fill_cache);
         if (!s.ok()) return s;
         if (found) {
           sink->AddLevelRead(0, env_->NowNanos() - level_start);
@@ -1346,16 +1306,24 @@ class DBImpl final : public DB {
 
   Status CompactUntilStableLocked() REQUIRES(mutex_) {
     if (!background_mode()) {
-      while (true) {
+      // RunCompaction drops mutex_ during the merge, so a second writer
+      // thread can get here meanwhile; it must not pick the same inputs.
+      // One thread settles the tree at a time.
+      while (inline_compacting_) bg_cv_.Wait();
+      inline_compacting_ = true;
+      Status s;
+      while (s.ok()) {
         VersionSet::CompactionPick pick;
         if (!versions_->PickCompaction(options_.l0_compaction_trigger,
                                        options_.write_buffer_size,
                                        options_.size_ratio, &pick)) {
-          return Status::OK();
+          break;
         }
-        Status s = RunCompaction(pick);
-        if (!s.ok()) return s;
+        s = RunCompaction(pick);
       }
+      inline_compacting_ = false;
+      bg_cv_.SignalAll();
+      return s;
     }
     // Background mode: keep the workers busy until the tree settles.
     while (true) {
@@ -1738,44 +1706,35 @@ class DBImpl final : public DB {
     }
   }
 
-  /// Per-file lookup honoring the configured granularity. `v` is the
-  /// reader's pinned version and models are attached to it, so the model
-  /// consulted always matches the file list being searched — a reader
-  /// racing a background version install needs no stamp check. Under
-  /// kCompactionMaintained the slot was filled at install time and
-  /// GetOrBuild returns it from its fast path; a missing model (lazy
-  /// policy, or a degraded/skipped write-path build) is trained here —
-  /// first reader wins, the rest fall back to the per-file index for
-  /// that lookup.
+  /// One-key lookup in file `file_idx` of `level`: a one-key MultiGet on
+  /// its reader, with the level model's window as bounds under kLevel
+  /// granularity. `v` is the reader's pinned version and models are
+  /// attached to it, so the model consulted always matches the file list
+  /// being searched — a reader racing a background version install needs
+  /// no stamp check. Under kCompactionMaintained the slot was filled at
+  /// install time and GetOrBuild returns it from its fast path; a missing
+  /// model (lazy policy, or a degraded/skipped write-path build) is
+  /// trained here — first reader wins, the rest fall back to the per-file
+  /// index for that lookup.
   Status TableGetAtLevel(const Version& v, int level, size_t file_idx,
                          Key key, std::string* value, uint64_t* tag,
                          bool* found, Stats* sink, bool fill_cache) {
-    const FileMeta& meta = v.files(level)[file_idx];
-    if (options_.index_granularity == IndexGranularity::kLevel && level > 0 &&
-        options_.table_format == TableFormat::kSegmented) {
+    size_t lo = 0, hi = 0;
+    bool bounds = false;
+    if (level > 0 && level_models()) {
       const LevelModelRef model = model_catalog_->GetOrBuild(
           v, level, table_cache_.get(), options_.index_type,
           options_.index_config);
-      size_t lo = 0, hi = 0;
-      if (model != nullptr &&
-          ModelCatalog::PredictInFile(*model, key, file_idx, &lo, &hi)) {
-        std::shared_ptr<TableReader> reader;
-        Status s = table_cache_->GetReader(meta.number, &reader);
-        if (!s.ok()) return s;
-        return reader->GetWithBounds(key, lo, hi, value, tag, found, sink,
-                                     fill_cache);
-      }
+      bounds = model != nullptr &&
+               ModelCatalog::PredictInFile(*model, key, file_idx, &lo, &hi);
     }
-    return TableGet(meta, level, key, value, tag, found, sink, fill_cache);
-  }
-
-  Status TableGet(const FileMeta& meta, int /*level*/, Key key,
-                  std::string* value, uint64_t* tag, bool* found,
-                  Stats* sink, bool fill_cache) {
     std::shared_ptr<TableReader> reader;
-    Status s = table_cache_->GetReader(meta.number, &reader);
+    Status s = table_cache_->GetReader(v.files(level)[file_idx].number,
+                                       &reader);
     if (!s.ok()) return s;
-    return reader->Get(key, value, tag, found, sink, fill_cache);
+    return reader->MultiGet(std::span<const Key>(&key, 1),
+                            bounds ? &lo : nullptr, bounds ? &hi : nullptr,
+                            value, tag, found, sink, fill_cache);
   }
 
   // Mutated only by the quiescent-only reconfiguration surface
@@ -1820,6 +1779,8 @@ class DBImpl final : public DB {
   bool bg_flush_active_ GUARDED_BY(mutex_) = false;
   /// A compaction occupies this level pair's upper half.
   bool level_busy_[kNumLevels] GUARDED_BY(mutex_) = {};
+  /// kInline: a thread is running CompactUntilStableLocked's merges.
+  bool inline_compacting_ GUARDED_BY(mutex_) = false;
   // File numbers >= min(gc_fences_) may be in-flight job outputs not yet
   // in any version; RemoveObsoleteFiles must not sweep them.
   std::multiset<uint64_t> gc_fences_ GUARDED_BY(mutex_);

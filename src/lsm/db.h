@@ -75,14 +75,10 @@ enum class ModelPersistence : uint8_t {
   /// Missing or corrupt sidecars fall back per file to the in-memory
   /// reader export (Counter::kModelSidecarFallbacks).
   kSidecar = 0,
-  /// Ignore sidecars; stitch from each table reader's in-memory index
-  /// (decodes index blobs but re-reads no keys). The pre-sidecar
-  /// behavior, kept for measurement.
-  kStitchInMemory = 1,
   /// Rebuild every level model from a full key scan at open time — the
-  /// slowest, model-bit-exact baseline the persisted paths are compared
+  /// slowest, model-bit-exact baseline the sidecar path is compared
   /// against.
-  kRetrainOnOpen = 2,
+  kRetrainOnOpen = 1,
 };
 
 /// Where LSM maintenance (flush, compaction) runs.
@@ -212,7 +208,8 @@ struct DBOptions {
   int bloom_bits_per_key = 10;
 
   /// Entry geometry (paper: 24-byte keys, 1000-byte values). The segmented
-  /// format requires every value to have exactly value_size bytes.
+  /// format requires every value to have exactly value_size bytes; Write
+  /// rejects a batch holding any other size with InvalidArgument.
   uint32_t key_size = 24;
   uint32_t value_size = 100;
 
@@ -326,27 +323,15 @@ class DB {
                              size_t count,
                              std::vector<std::pair<Key, std::string>>* out) = 0;
 
-  // Convenience overloads with default read options. The snapshot-pointer
-  // forms mirror the pre-ReadOptions signatures (deprecated style; prefer
-  // passing ReadOptions explicitly).
+  // Convenience overloads with default read options.
   Status Get(Key key, std::string* value) {
     return Get(ReadOptions(), key, value);
-  }
-  Status Get(Key key, std::string* value, const Snapshot* snapshot) {
-    ReadOptions options;
-    options.snapshot = snapshot;
-    return Get(options, key, value);
   }
   Status MultiGet(std::span<const Key> keys, std::vector<std::string>* values,
                   std::vector<Status>* statuses) {
     return MultiGet(ReadOptions(), keys, values, statuses);
   }
   std::unique_ptr<Iterator> NewIterator() { return NewIterator(ReadOptions()); }
-  std::unique_ptr<Iterator> NewIterator(const Snapshot* snapshot) {
-    ReadOptions options;
-    options.snapshot = snapshot;
-    return NewIterator(options);
-  }
   Status RangeLookup(Key start, size_t count,
                      std::vector<std::pair<Key, std::string>>* out) {
     return RangeLookup(ReadOptions(), start, count, out);

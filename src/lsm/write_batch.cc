@@ -46,7 +46,8 @@ void WriteBatch::Append(WriteBatch* dst, const WriteBatch& src) {
   dst->rep_.append(src.rep_.data() + kHeader, src.rep_.size() - kHeader);
 }
 
-Status WriteBatch::InsertInto(MemTable* mem, SequenceNumber sequence) const {
+template <typename Fn>
+Status WriteBatch::ForEach(Fn&& fn) const {
   Slice input(rep_);
   if (input.size() < kHeader) {
     return Status::Corruption("write batch: header too small");
@@ -68,19 +69,39 @@ Status WriteBatch::InsertInto(MemTable* mem, SequenceNumber sequence) const {
         if (!GetLengthPrefixedSlice(&input, &value)) {
           return Status::Corruption("write batch: bad value");
         }
-        mem->Add(sequence, kTypeValue, key, value);
+        fn(kTypeValue, key, value);
         break;
       }
       case kTypeDeletion:
-        mem->Add(sequence, kTypeDeletion, key, Slice());
+        fn(kTypeDeletion, key, Slice());
         break;
       default:
         return Status::Corruption("write batch: unknown record type");
     }
-    sequence++;
   }
   if (found != count) {
     return Status::Corruption("write batch: count mismatch");
+  }
+  return Status::OK();
+}
+
+Status WriteBatch::InsertInto(MemTable* mem, SequenceNumber sequence) const {
+  return ForEach([&](ValueType type, Key key, const Slice& value) {
+    mem->Add(sequence++, type, key, value);
+  });
+}
+
+Status WriteBatch::CheckValueSizes(size_t value_size) const {
+  size_t bad = value_size;
+  Status s = ForEach([&](ValueType type, Key /*key*/, const Slice& value) {
+    if (type == kTypeValue && value.size() != value_size) bad = value.size();
+  });
+  if (!s.ok()) return s;
+  if (bad != value_size) {
+    return Status::InvalidArgument(
+        "segmented tables require fixed-size values",
+        std::to_string(bad) + " bytes given, " + std::to_string(value_size) +
+            " required");
   }
   return Status::OK();
 }

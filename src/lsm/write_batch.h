@@ -27,6 +27,11 @@ class WriteBatch {
   /// Applies every record to `mem` with sequences starting at `sequence`.
   Status InsertInto(MemTable* mem, SequenceNumber sequence) const;
 
+  /// InvalidArgument when any Put carries a value that is not exactly
+  /// `value_size` bytes (the segmented table format's fixed geometry);
+  /// Corruption when the batch is malformed.
+  Status CheckValueSizes(size_t value_size) const;
+
   /// Appends every record of `src` to `dst` (group-commit coalescing:
   /// the queue leader folds follower batches into one WAL record).
   /// `dst` keeps its sequence; counts add.
@@ -42,6 +47,10 @@ class WriteBatch {
   static constexpr size_t kHeader = 12;
 
   void SetCount(uint32_t count);
+  /// Decodes every record in order, calling fn(type, key, value) (value
+  /// empty for deletions); Corruption on a malformed rep.
+  template <typename Fn>
+  Status ForEach(Fn&& fn) const;
 
   std::string rep_;
 };

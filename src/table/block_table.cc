@@ -412,48 +412,63 @@ Status BlockTableReader::ReadBlock(size_t block_idx, std::string* contents,
   return Status::OK();
 }
 
-Status BlockTableReader::Get(Key key, std::string* value, uint64_t* tag,
-                             bool* found, Stats* stats, bool fill_cache) {
-  if (stats == nullptr) stats = options_.stats;
-  *found = false;
-  if (count_ == 0 || key < min_key_ || key > max_key_) return Status::OK();
-
+size_t BlockTableReader::Route(Key key, Stats* stats) const {
+  if (count_ == 0 || key < min_key_ || key > max_key_) return blocks_.size();
   {
     ScopedTimer timer(stats, Timer::kBloomCheck, options_.env);
     char bloom_buf[8];
     BloomFilterReader bloom{Slice(bloom_data_)};
     if (!bloom.KeyMayMatch(BloomKey(key, bloom_buf))) {
-      if (stats != nullptr) {
-        stats->Add(Counter::kBloomNegatives);
-      }
-      return Status::OK();
+      if (stats != nullptr) stats->Add(Counter::kBloomNegatives);
+      return blocks_.size();
     }
   }
+  ScopedTimer timer(stats, Timer::kIndexPredict, options_.env);
+  return FindBlock(key);
+}
 
-  size_t block_idx;
-  {
-    ScopedTimer timer(stats, Timer::kIndexPredict, options_.env);
-    block_idx = FindBlock(key);
-  }
-  if (block_idx >= blocks_.size()) return Status::OK();
-
-  std::string contents;
-  Status s = ReadBlock(block_idx, &contents, stats, fill_cache);
-  if (!s.ok()) return s;
-
+Status BlockTableReader::SearchBlock(const std::string& payload, Key key,
+                                     std::string* value, uint64_t* tag,
+                                     bool* found, Stats* stats) const {
   ScopedTimer timer(stats, Timer::kBinarySearch, options_.env);
-  BlockParser parser(&contents, key_size_);
+  BlockParser parser(&payload, key_size_);
   parser.Seek(key);
   if (!parser.status().ok()) return parser.status();
-  if (parser.Valid() && parser.key() == key) {
+  *found = parser.Valid() && parser.key() == key;
+  if (*found) {
     *tag = parser.tag();
     value->assign(parser.value().data(), parser.value().size());
-    *found = true;
-    if (stats != nullptr) {
-      stats->Add(Counter::kBloomTruePositive);
+  }
+  if (stats != nullptr) {
+    stats->Add(*found ? Counter::kBloomTruePositive
+                      : Counter::kBloomFalsePositive);
+  }
+  return Status::OK();
+}
+
+Status BlockTableReader::MultiGet(std::span<const Key> keys,
+                                  const size_t* bounds_lo,
+                                  const size_t* bounds_hi,
+                                  std::string* values, uint64_t* tags,
+                                  bool* founds, Stats* stats,
+                                  bool fill_cache) {
+  if (bounds_lo != nullptr || bounds_hi != nullptr) {
+    return Status::NotSupported("block tables have no positional bounds");
+  }
+  if (stats == nullptr) stats = options_.stats;
+  // One key at a time, each with its own block read: the block format's
+  // point lookup, unchanged by batching.
+  std::string contents;
+  for (size_t i = 0; i < keys.size(); i++) {
+    founds[i] = false;
+    const size_t block_idx = Route(keys[i], stats);
+    if (block_idx >= blocks_.size()) continue;
+    Status s = ReadBlock(block_idx, &contents, stats, fill_cache);
+    if (s.ok()) {
+      s = SearchBlock(contents, keys[i], &values[i], &tags[i], &founds[i],
+                      stats);
     }
-  } else if (stats != nullptr) {
-    stats->Add(Counter::kBloomFalsePositive);
+    if (!s.ok()) return s;
   }
   return Status::OK();
 }
@@ -470,27 +485,12 @@ Status BlockTableReader::PrepareMultiGet(
   p->keys.assign(keys.begin(), keys.end());
   p->plans.resize(keys.size());
   p->fill_cache = fill_cache;
-  BloomFilterReader bloom{Slice(bloom_data_)};
 
   // Pass 1: screen each key and route it to its fence-pointer block.
   // Inputs are sorted, so keys landing in the same block are consecutive
   // and share one fetch.
   for (size_t i = 0; i < keys.size(); i++) {
-    const Key key = keys[i];
-    if (count_ == 0 || key < min_key_ || key > max_key_) continue;
-    {
-      ScopedTimer timer(stats, Timer::kBloomCheck, options_.env);
-      char bloom_buf[8];
-      if (!bloom.KeyMayMatch(BloomKey(key, bloom_buf))) {
-        if (stats != nullptr) stats->Add(Counter::kBloomNegatives);
-        continue;
-      }
-    }
-    size_t block_idx;
-    {
-      ScopedTimer timer(stats, Timer::kIndexPredict, options_.env);
-      block_idx = FindBlock(key);
-    }
+    const size_t block_idx = Route(keys[i], stats);
     if (block_idx >= blocks_.size()) continue;
     if (p->fetches.empty() || p->fetches.back().block_idx != block_idx) {
       BlockPendingMultiGet::BlockFetch fetch;
@@ -561,18 +561,9 @@ Status BlockTableReader::FinishMultiGet(PendingMultiGet* pending,
     founds[i] = false;
     if (p->plans[i].fetch < 0) continue;
     const auto& fetch = p->fetches[static_cast<size_t>(p->plans[i].fetch)];
-    ScopedTimer timer(stats, Timer::kBinarySearch, options_.env);
-    BlockParser parser(&fetch.payload, key_size_);
-    parser.Seek(p->keys[i]);
-    if (!parser.status().ok()) return parser.status();
-    if (parser.Valid() && parser.key() == p->keys[i]) {
-      tags[i] = parser.tag();
-      values[i].assign(parser.value().data(), parser.value().size());
-      founds[i] = true;
-      if (stats != nullptr) stats->Add(Counter::kBloomTruePositive);
-    } else if (stats != nullptr) {
-      stats->Add(Counter::kBloomFalsePositive);
-    }
+    Status s = SearchBlock(fetch.payload, p->keys[i], &values[i], &tags[i],
+                           &founds[i], stats);
+    if (!s.ok()) return s;
   }
   return Status::OK();
 }

@@ -60,14 +60,18 @@ class BlockTableReader final : public TableReader {
   static Status Open(const TableOptions& options, const std::string& fname,
                      std::unique_ptr<TableReader>* reader);
 
-  Status Get(Key key, std::string* value, uint64_t* tag, bool* found,
-             Stats* stats, bool fill_cache) override;
+  /// Looks keys up one at a time (range, bloom, fence pointer, one block
+  /// read, parse). Positional bounds are not supported: NotSupported.
+  Status MultiGet(std::span<const Key> keys, const size_t* bounds_lo,
+                  const size_t* bounds_hi, std::string* values,
+                  uint64_t* tags, bool* founds, Stats* stats,
+                  bool fill_cache) override;
   /// Async two-phase MultiGet: screens each key (range, bloom), routes it
   /// to its fence-pointer block, dedupes consecutive keys sharing a block,
   /// serves cached blocks immediately, and registers one ReadRequest for
   /// each cold block's raw bytes. FinishMultiGet crc-verifies the fetched
   /// blocks and parses each key's entry. Positional bounds are not
-  /// supported (same as GetWithBounds).
+  /// supported, as in MultiGet.
   Status PrepareMultiGet(std::span<const Key> keys, const size_t* bounds_lo,
                          const size_t* bounds_hi, ReadBatch* batch,
                          std::unique_ptr<PendingMultiGet>* pending,
@@ -96,6 +100,13 @@ class BlockTableReader final : public TableReader {
   /// Index of the first block whose last key >= key (blocks_.size() if
   /// past the end).
   size_t FindBlock(Key key) const;
+  /// Screens `key` (range, bloom) and routes it to its fence-pointer
+  /// block: blocks_.size() when the key is definitely absent.
+  size_t Route(Key key, Stats* stats) const;
+  /// Parses `payload` for `key`, filling *found (and *tag, *value on a
+  /// hit) and attributing the bloom true/false positive.
+  Status SearchBlock(const std::string& payload, Key key, std::string* value,
+                     uint64_t* tag, bool* found, Stats* stats) const;
   /// Reads (and checksum-verifies) one block, consulting the block cache
   /// first when configured — the cache stores the verified payload keyed
   /// by the block's file offset, so hits skip both the pread and the crc.

@@ -420,77 +420,21 @@ bool SegmentedTableReader::MayContain(Key key, Stats* stats) {
   return true;
 }
 
-Status SegmentedTableReader::SearchRange(Key key, size_t range_lo,
-                                         size_t range_hi, std::string* value,
-                                         uint64_t* tag, bool* found,
-                                         Stats* stats, bool fill_cache) {
-  if (stats == nullptr) stats = options_.stats;
-  Env* env = options_.env;
-  *found = false;
-
-  // Per-thread scratch instead of a reader member: concurrent point
-  // lookups on the same (cached, shared) reader must not share a buffer.
-  // Shared across readers on a thread, it amortizes to one allocation at
-  // the largest segment size, same as the old per-reader member.
-  thread_local std::string get_scratch;
-
-  const char* base = nullptr;
-  size_t first = 0, last = 0;
-  {
-    // With a block cache the fetch may be served from memory, so the
-    // disk-read timer moves inside FetchAlignedCached's pread branch (a
-    // null Stats* here disables this outer timer); uncached, this outer
-    // scope times the single pread exactly as it always did.
-    ScopedTimer timer(options_.block_cache == nullptr ? stats : nullptr,
-                      Timer::kDiskRead, env);
-    Status s = ReadEntryRange(range_lo, range_hi, &get_scratch, &base,
-                              &first, &last, stats, fill_cache);
-    if (!s.ok()) return s;
-    if (stats != nullptr) stats->Add(Counter::kSegmentsFetched);
-  }
-
-  {
-    ScopedTimer timer(stats, Timer::kBinarySearch, env);
-    *found = SearchBuffer(base, first, range_lo, range_hi, key, value, tag);
-  }
-  if (stats != nullptr) {
-    stats->Add(*found ? Counter::kBloomTruePositive
-                      : Counter::kBloomFalsePositive);
-  }
-  return Status::OK();
-}
-
-Status SegmentedTableReader::Get(Key key, std::string* value, uint64_t* tag,
-                                 bool* found, Stats* stats, bool fill_cache) {
-  if (stats == nullptr) stats = options_.stats;
-  *found = false;
-  if (count_ == 0 || key < min_key_ || key > max_key_) {
-    return Status::OK();
-  }
-  if (!MayContain(key, stats)) return Status::OK();
-
-  PredictResult prediction;
-  {
+void SegmentedTableReader::EntryWindow(Key key, const size_t* bounds_lo,
+                                       const size_t* bounds_hi, size_t i,
+                                       Stats* stats, size_t* lo,
+                                       size_t* hi) const {
+  if (bounds_lo != nullptr) {
+    *lo = bounds_lo[i];
+    *hi = bounds_hi[i];
+  } else {
     ScopedTimer timer(stats, Timer::kIndexPredict, options_.env);
-    prediction = index_->Predict(key);
+    const PredictResult prediction = index_->Predict(key);
+    *lo = prediction.lo;
+    *hi = prediction.hi;
   }
-  return SearchRange(key, prediction.lo, prediction.hi, value, tag, found,
-                     stats, fill_cache);
-}
-
-Status SegmentedTableReader::GetWithBounds(Key key, size_t lo, size_t hi,
-                                           std::string* value, uint64_t* tag,
-                                           bool* found, Stats* stats,
-                                           bool fill_cache) {
-  if (stats == nullptr) stats = options_.stats;
-  *found = false;
-  if (count_ == 0 || key < min_key_ || key > max_key_) {
-    return Status::OK();
-  }
-  if (hi >= count_) hi = count_ - 1;
-  if (lo > hi) lo = hi;
-  if (!MayContain(key, stats)) return Status::OK();
-  return SearchRange(key, lo, hi, value, tag, found, stats, fill_cache);
+  if (*hi >= count_) *hi = count_ - 1;
+  if (*lo > *hi) *lo = *hi;
 }
 
 bool SegmentedTableReader::SearchBuffer(const char* base, size_t first,
@@ -523,9 +467,11 @@ Status SegmentedTableReader::MultiGet(std::span<const Key> keys,
   if (stats == nullptr) stats = options_.stats;
   Env* env = options_.env;
 
-  // Separate from Get's scratch: a batch interleaved with point lookups
-  // (level-model fallbacks) must keep its reusable block intact.
-  thread_local std::string batch_scratch;
+  // Per-thread scratch instead of a reader member: concurrent lookups on
+  // the same (cached, shared) reader must not share a buffer. Shared
+  // across readers on a thread, it amortizes to one allocation at the
+  // largest segment size.
+  thread_local std::string scratch;
   const char* base = nullptr;
   size_t buf_first = 0, buf_last = 0;
   bool buffered = false;
@@ -551,24 +497,16 @@ Status SegmentedTableReader::MultiGet(std::span<const Key> keys,
     if (!MayContain(key, stats)) continue;
 
     size_t lo, hi;
-    if (bounds_lo != nullptr) {
-      lo = bounds_lo[i];
-      hi = bounds_hi[i];
-      if (hi >= count_) hi = count_ - 1;
-      if (lo > hi) lo = hi;
-    } else {
-      ScopedTimer timer(stats, Timer::kIndexPredict, env);
-      const PredictResult prediction = index_->Predict(key);
-      lo = prediction.lo;
-      hi = prediction.hi;
-    }
+    EntryWindow(key, bounds_lo, bounds_hi, i, stats, &lo, &hi);
 
     {
-      // Same timer arrangement as SearchRange: cached fetches time only
-      // their actual pread (inside FetchAlignedCached).
+      // With a block cache the fetch may be served from memory, so the
+      // disk-read timer moves inside FetchAlignedCached's pread branch (a
+      // null Stats* disables this outer timer); uncached, this outer scope
+      // times the single pread.
       ScopedTimer timer(options_.block_cache == nullptr ? stats : nullptr,
                         Timer::kDiskRead, env);
-      Status s = ReadEntryRange(lo, hi, &batch_scratch, &base, &buf_first,
+      Status s = ReadEntryRange(lo, hi, &scratch, &base, &buf_first,
                                 &buf_last, stats, fill_cache);
       if (!s.ok()) return s;
       if (stats != nullptr) stats->Add(Counter::kSegmentsFetched);
@@ -625,7 +563,6 @@ Status SegmentedTableReader::PrepareMultiGet(
     const size_t* bounds_hi, ReadBatch* batch,
     std::unique_ptr<PendingMultiGet>* pending, Stats* stats, bool fill_cache) {
   if (stats == nullptr) stats = options_.stats;
-  Env* env = options_.env;
   auto p = std::make_unique<SegmentedPendingMultiGet>();
   p->keys.assign(keys.begin(), keys.end());
   p->plans.resize(keys.size());
@@ -641,19 +578,7 @@ Status SegmentedTableReader::PrepareMultiGet(
     if (count_ == 0 || key < min_key_ || key > max_key_) continue;
     if (!MayContain(key, stats)) continue;
     size_t lo, hi;
-    if (bounds_lo != nullptr) {
-      lo = bounds_lo[i];
-      hi = bounds_hi[i];
-      if (hi >= count_) hi = count_ - 1;
-      if (lo > hi) lo = hi;
-    } else {
-      ScopedTimer timer(stats, Timer::kIndexPredict, env);
-      const PredictResult prediction = index_->Predict(key);
-      lo = prediction.lo;
-      hi = prediction.hi;
-      if (hi >= count_) hi = count_ - 1;
-      if (lo > hi) lo = hi;
-    }
+    EntryWindow(key, bounds_lo, bounds_hi, i, stats, &lo, &hi);
     uint64_t byte_lo = (static_cast<uint64_t>(lo) * entry_size_ / block) * block;
     uint64_t byte_hi = std::min<uint64_t>(
         data_size_,

@@ -54,15 +54,11 @@ class SegmentedTableReader final : public TableReader {
   static Status Open(const TableOptions& options, const std::string& fname,
                      std::unique_ptr<TableReader>* reader);
 
-  Status Get(Key key, std::string* value, uint64_t* tag, bool* found,
-             Stats* stats, bool fill_cache) override;
-  Status GetWithBounds(Key key, size_t lo, size_t hi, std::string* value,
-                       uint64_t* tag, bool* found, Stats* stats,
-                       bool fill_cache) override;
-  /// Batched lookup that serves a run of sorted keys from one fetched I/O
-  /// block where possible: a key inside the key range of the previously
-  /// fetched block needs no bloom probe, no index descent, and no disk
-  /// read — the per-run amortization DB::MultiGet is built on.
+  /// Serves a run of sorted keys from one fetched I/O block where
+  /// possible: a key inside the key range of the previously fetched block
+  /// needs no bloom probe, no index descent, and no disk read — the
+  /// per-run amortization DB::MultiGet is built on. A one-key call is the
+  /// paper's point lookup: bloom, predict, one aligned pread, search.
   Status MultiGet(std::span<const Key> keys, const size_t* bounds_lo,
                   const size_t* bounds_hi, std::string* values,
                   uint64_t* tags, bool* founds, Stats* stats,
@@ -125,10 +121,6 @@ class SegmentedTableReader final : public TableReader {
   /// Bloom probe; false means the key is definitely absent. `stats` (may
   /// be null) overrides options_.stats for this call.
   bool MayContain(Key key, Stats* stats);
-  /// Fetch + in-range binary search shared by Get and GetWithBounds.
-  Status SearchRange(Key key, size_t lo, size_t hi, std::string* value,
-                     uint64_t* tag, bool* found, Stats* stats,
-                     bool fill_cache);
   /// Serves the aligned byte range [byte_lo, byte_hi) into `dst` through
   /// the block cache: all-hit spans copy out of the cache with zero Env
   /// reads; otherwise one pread fetches the whole span (the same single
@@ -136,6 +128,11 @@ class SegmentedTableReader final : public TableReader {
   /// when `fill_cache` is set.
   Status FetchAlignedCached(uint64_t byte_lo, uint64_t byte_hi, char* dst,
                             Stats* stats, bool fill_cache);
+  /// Inclusive entry window [*lo, *hi] for keys[i]: the caller's
+  /// level-model bounds when given, else the file index's prediction
+  /// (timed as kIndexPredict); clamped to the entry array either way.
+  void EntryWindow(Key key, const size_t* bounds_lo, const size_t* bounds_hi,
+                   size_t i, Stats* stats, size_t* lo, size_t* hi) const;
   /// Binary search entries [lo, hi] inside a fetched buffer (`base` points
   /// at entry `first`) for the exact key; bloom hit/miss attribution is
   /// the caller's.

@@ -5,22 +5,6 @@
 
 namespace lilsm {
 
-Status TableReader::MultiGet(std::span<const Key> keys,
-                             const size_t* bounds_lo, const size_t* bounds_hi,
-                             std::string* values, uint64_t* tags, bool* founds,
-                             Stats* stats, bool fill_cache) {
-  for (size_t i = 0; i < keys.size(); i++) {
-    Status s =
-        bounds_lo != nullptr
-            ? GetWithBounds(keys[i], bounds_lo[i], bounds_hi[i], &values[i],
-                            &tags[i], &founds[i], stats, fill_cache)
-            : Get(keys[i], &values[i], &tags[i], &founds[i], stats,
-                  fill_cache);
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
-}
-
 Status NewTableBuilder(const TableOptions& options, const std::string& fname,
                        std::unique_ptr<TableBuilder>* builder) {
   if (options.env == nullptr) {

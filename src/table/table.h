@@ -95,40 +95,24 @@ class TableReader {
  public:
   virtual ~TableReader() = default;
 
-  /// Point lookup. On hit sets *found=true, *tag and *value; a bloom
-  /// negative or absent key sets *found=false with OK status. `stats`
-  /// (when non-null) receives this call's instrumentation instead of the
-  /// table's configured sink — the DB threads ReadOptions::stats here.
-  /// `fill_cache` = false serves from the block cache but does not
-  /// populate it on a miss (ReadOptions::fill_cache).
-  virtual Status Get(Key key, std::string* value, uint64_t* tag, bool* found,
-                     Stats* stats = nullptr, bool fill_cache = true) = 0;
-
-  /// Point lookup with externally supplied position bounds (inclusive
-  /// entry indexes), used by level-granularity models that predict across
-  /// a whole level instead of per file. Formats without positional entries
-  /// return NotSupported.
-  virtual Status GetWithBounds(Key /*key*/, size_t /*lo*/, size_t /*hi*/,
-                               std::string* /*value*/, uint64_t* /*tag*/,
-                               bool* /*found*/, Stats* /*stats*/ = nullptr,
-                               bool /*fill_cache*/ = true) {
-    return Status::NotSupported("GetWithBounds");
-  }
-
-  /// Batched point lookup over ascending (not necessarily distinct) keys.
-  /// For each keys[i]: on a hit sets founds[i]=true plus tags[i] and
-  /// values[i]; otherwise founds[i]=false. `bounds_lo`/`bounds_hi` (both
-  /// null or both non-null, one inclusive entry range per key) carry the
-  /// predictions of a level-granularity model; formats without positional
-  /// entries must be called with null bounds. The base implementation
-  /// loops Get/GetWithBounds; the segmented format overrides it to reuse
-  /// the fetched I/O block across a run of keys, consulting the bloom
-  /// filter and learned index only for keys the buffered block cannot
-  /// answer.
+  /// Batched point lookup over ascending (not necessarily distinct) keys;
+  /// the only synchronous read entry point — a point lookup is a one-key
+  /// call. For each keys[i]: on a hit sets founds[i]=true plus tags[i] and
+  /// values[i]; a bloom negative or absent key sets founds[i]=false with
+  /// OK status. `bounds_lo`/`bounds_hi` (both null or both non-null, one
+  /// inclusive entry range per key) carry the predictions of a
+  /// level-granularity model; formats without positional entries return
+  /// NotSupported for them. `stats` (when non-null) receives this call's
+  /// instrumentation instead of the table's configured sink — the DB
+  /// threads ReadOptions::stats here. `fill_cache` = false serves from the
+  /// block cache but does not populate it on a miss
+  /// (ReadOptions::fill_cache). The segmented format reuses the fetched I/O
+  /// block across a run of keys, consulting the bloom filter and learned
+  /// index only for keys the buffered block cannot answer.
   virtual Status MultiGet(std::span<const Key> keys, const size_t* bounds_lo,
                           const size_t* bounds_hi, std::string* values,
                           uint64_t* tags, bool* founds, Stats* stats,
-                          bool fill_cache = true);
+                          bool fill_cache = true) = 0;
 
   /// Async MultiGet, phase 1: plans the same lookup MultiGet would run,
   /// serves what the block cache can answer immediately, and registers one
@@ -136,26 +120,20 @@ class TableReader {
   /// caller Wait()s the batch (typically after preparing several runs so
   /// their device reads overlap), then calls FinishMultiGet. Semantics
   /// (keys ascending, optional level-model bounds, fill_cache) match
-  /// MultiGet; results are bit-identical to the synchronous path. The
-  /// base returns NotSupported — callers fall back to MultiGet per run.
-  virtual Status PrepareMultiGet(std::span<const Key> /*keys*/,
-                                 const size_t* /*bounds_lo*/,
-                                 const size_t* /*bounds_hi*/,
-                                 ReadBatch* /*batch*/,
-                                 std::unique_ptr<PendingMultiGet>* /*pending*/,
-                                 Stats* /*stats*/, bool /*fill_cache*/ = true) {
-    return Status::NotSupported("PrepareMultiGet");
-  }
+  /// MultiGet; results are bit-identical to the synchronous path.
+  virtual Status PrepareMultiGet(std::span<const Key> keys,
+                                 const size_t* bounds_lo,
+                                 const size_t* bounds_hi, ReadBatch* batch,
+                                 std::unique_ptr<PendingMultiGet>* pending,
+                                 Stats* stats, bool fill_cache = true) = 0;
 
   /// Async MultiGet, phase 2 (after the batch's Wait): searches the
   /// fetched spans, fills values/tags/founds exactly like MultiGet, and
   /// inserts cold blocks into the block cache under the fill_cache given
   /// to PrepareMultiGet.
-  virtual Status FinishMultiGet(PendingMultiGet* /*pending*/,
-                                std::string* /*values*/, uint64_t* /*tags*/,
-                                bool* /*founds*/, Stats* /*stats*/) {
-    return Status::NotSupported("FinishMultiGet");
-  }
+  virtual Status FinishMultiGet(PendingMultiGet* pending, std::string* values,
+                                uint64_t* tags, bool* founds,
+                                Stats* stats) = 0;
 
   /// `fill_cache` = false keeps the iterator's block fetches from
   /// populating the block cache (scans and compaction inputs must not
@@ -170,7 +148,7 @@ class TableReader {
   virtual Key MinKey() const = 0;
   virtual Key MaxKey() const = 0;
 
-  /// The in-memory index consulted by Get/Seek.
+  /// The in-memory index consulted by MultiGet/Seek.
   virtual const LearnedIndex* index() const = 0;
 
   /// Retrains the in-memory index with a new type/config by scanning the

@@ -13,6 +13,7 @@ namespace lilsm {
 namespace {
 
 using testing_util::RandomGapKeys;
+using testing_util::ReaderGet;
 using testing_util::ScratchDir;
 
 TableOptions BlockedOptions() {
@@ -55,7 +56,7 @@ TEST_F(BlockTableTest, GetFindsEveryKeyWithVariableValues) {
   uint64_t tag;
   bool found;
   for (size_t i = 0; i < keys_.size(); i += 7) {
-    ASSERT_LILSM_OK(reader_->Get(keys_[i], &value, &tag, &found));
+    ASSERT_LILSM_OK(ReaderGet(reader_.get(), keys_[i], &value, &tag, &found));
     ASSERT_TRUE(found) << i;
     ASSERT_EQ(value, VarValue(keys_[i]));
     ASSERT_EQ(TagSequence(tag), i + 1);
@@ -70,7 +71,8 @@ TEST_F(BlockTableTest, GetMissesAbsentKeys) {
   for (size_t i = 0; i + 1 < keys_.size() && tried < 300; i += 13) {
     if (keys_[i + 1] - keys_[i] < 2) continue;
     tried++;
-    ASSERT_LILSM_OK(reader_->Get(keys_[i] + 1, &value, &tag, &found));
+    ASSERT_LILSM_OK(
+        ReaderGet(reader_.get(), keys_[i] + 1, &value, &tag, &found));
     EXPECT_FALSE(found);
   }
   ASSERT_GT(tried, 50u);
@@ -133,7 +135,7 @@ TEST(BlockTableEdgeTest, EmptyValuesAndSingleEntry) {
   std::string value = "sentinel";
   uint64_t tag;
   bool found;
-  ASSERT_LILSM_OK(reader->Get(42, &value, &tag, &found));
+  ASSERT_LILSM_OK(ReaderGet(reader.get(), 42, &value, &tag, &found));
   ASSERT_TRUE(found);
   EXPECT_TRUE(value.empty());
 }
@@ -161,7 +163,7 @@ TEST(BlockTableEdgeTest, CorruptBlockDetected) {
   uint64_t tag;
   bool found;
   // The corrupted block must surface as Corruption when read.
-  Status s = reader->Get(keys[0], &value, &tag, &found);
+  Status s = ReaderGet(reader.get(), keys[0], &value, &tag, &found);
   EXPECT_TRUE(s.IsCorruption());
 }
 

@@ -472,23 +472,6 @@ TEST(ModelPersistenceTest, CorruptSidecarFallsBackAndServes) {
   }
 }
 
-TEST(ModelPersistenceTest, StitchInMemoryIgnoresSidecars) {
-  ScratchDir dir("sidecar");
-  const std::string dbname = dir.file("db");
-  const std::vector<Key> keys = BuildMaintainedDb(dbname);
-
-  std::unique_ptr<DB> db;
-  ASSERT_LILSM_OK(DB::Open(
-      MaintainedOptions(ModelPersistence::kStitchInMemory), dbname, &db));
-  EXPECT_EQ(db->stats()->Count(Counter::kModelsLoadedFromDisk), 0u);
-  EXPECT_EQ(db->stats()->Count(Counter::kModelSidecarFallbacks), 0u);
-  std::string value;
-  for (Key k : keys) {
-    ASSERT_LILSM_OK(db->Get(k, &value));
-    ASSERT_EQ(value, ValueAt(k, 0)) << "key " << k;
-  }
-}
-
 // The WAL-records-replayed counter is visible after a recovering open.
 TEST(DbCrashRecoveryTest, ReplayCounterCountsRecords) {
   ScratchDir dir("crash");

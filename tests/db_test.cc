@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <thread>
 
 #include "tests/test_util.h"
 #include "workload/dataset.h"
@@ -114,6 +115,34 @@ TEST_F(DbTest, WriteBatchIsAtomicallyVisible) {
   EXPECT_EQ(db_->LastSequence(), 51u);
 }
 
+// The segmented format stores fixed-size values: a wrong-size Put must be
+// refused at admission, before the WAL, so it can never fail a flush or a
+// reopen's recovery flush. The DB stays writable and reopens cleanly.
+TEST_F(DbTest, WrongSizeValueIsRejectedAtAdmission) {
+  Open();
+  ASSERT_LILSM_OK(db_->Put(1, ValueFor(1, 0)));
+  const SequenceNumber seq = db_->LastSequence();
+  EXPECT_TRUE(db_->Put(2, "short").IsInvalidArgument());
+  EXPECT_TRUE(db_->Put(3, std::string(kValueSize + 1, 'x'))
+                  .IsInvalidArgument());
+  WriteBatch mixed;  // one bad value rejects the whole batch
+  mixed.Put(4, ValueFor(4, 0));
+  mixed.Put(5, "");
+  EXPECT_TRUE(db_->Write(&mixed).IsInvalidArgument());
+  EXPECT_EQ(db_->LastSequence(), seq);
+
+  std::string value;
+  EXPECT_TRUE(db_->Get(4, &value).IsNotFound());
+  ASSERT_LILSM_OK(db_->Put(6, ValueFor(6, 0)));
+  ASSERT_LILSM_OK(db_->Delete(1));  // tombstones carry no value
+  ASSERT_LILSM_OK(db_->FlushMemTable());
+  Reopen();
+  ASSERT_LILSM_OK(db_->Get(6, &value));
+  EXPECT_EQ(value, ValueFor(6, 0));
+  EXPECT_TRUE(db_->Get(1, &value).IsNotFound());
+  EXPECT_TRUE(db_->Get(2, &value).IsNotFound());
+}
+
 TEST_F(DbTest, FlushAndCompactionPreserveData) {
   Open();
   std::map<Key, std::string> model;
@@ -125,6 +154,35 @@ TEST_F(DbTest, FlushAndCompactionPreserveData) {
   }
   ASSERT_LILSM_OK(db_->FlushMemTable());
   EXPECT_GT(db_->stats()->Count(Counter::kFlushes), 0u);
+  VerifyAgainstModel(model);
+}
+
+// kInline runs flushes and compactions on the writing thread, dropping
+// the mutex during each merge: concurrent writer threads must still
+// compact one at a time (two merges of the same inputs would free tables
+// under each other) and lose nothing.
+TEST_F(DbTest, InlineWritersFromManyThreadsCompactSafely) {
+  DBOptions options = SmallDbOptions();
+  options.write_buffer_size = 8 << 10;
+  options.sstable_target_size = 8 << 10;
+  Open(options);
+  constexpr int kThreads = 4;
+  constexpr Key kPerThread = 1500;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([this, t] {
+      for (Key i = 0; i < kPerThread; i++) {
+        const Key key = i * kThreads + t;
+        ASSERT_LILSM_OK(db_->Put(key, ValueFor(key, 0)));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_GT(db_->stats()->Count(Counter::kCompactions), 0u);
+  std::map<Key, std::string> model;
+  for (Key key = 0; key < kThreads * kPerThread; key++) {
+    model[key] = ValueFor(key, 0);
+  }
   VerifyAgainstModel(model);
 }
 

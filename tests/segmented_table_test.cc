@@ -15,6 +15,7 @@ namespace lilsm {
 namespace {
 
 using testing_util::RandomGapKeys;
+using testing_util::ReaderGet;
 using testing_util::ScratchDir;
 
 constexpr uint32_t kValueSize = 64;
@@ -73,7 +74,7 @@ TEST_P(SegmentedTableTest, GetFindsEveryKey) {
   uint64_t tag = 0;
   bool found = false;
   for (size_t i = 0; i < keys_.size(); i += 3) {
-    ASSERT_LILSM_OK(reader_->Get(keys_[i], &value, &tag, &found));
+    ASSERT_LILSM_OK(ReaderGet(reader_.get(), keys_[i], &value, &tag, &found));
     ASSERT_TRUE(found) << "key index " << i;
     EXPECT_EQ(TagSequence(tag), i + 1);
     EXPECT_EQ(value, DeriveValue(keys_[i], kValueSize));
@@ -89,7 +90,7 @@ TEST_P(SegmentedTableTest, GetMissesAbsentKeys) {
     if (keys_[i + 1] - keys_[i] < 2) continue;
     const Key absent = keys_[i] + 1;
     tried++;
-    ASSERT_LILSM_OK(reader_->Get(absent, &value, &tag, &found));
+    ASSERT_LILSM_OK(ReaderGet(reader_.get(), absent, &value, &tag, &found));
     EXPECT_FALSE(found) << "absent key " << absent;
   }
   ASSERT_GT(tried, 100u);
@@ -144,21 +145,21 @@ TEST_P(SegmentedTableTest, RetrainSwapsIndexAcrossAllTypes) {
         reader_->RetrainIndex(type, IndexConfig::FromPositionBoundary(16)));
     ASSERT_EQ(reader_->index()->type(), type);
     for (size_t i = 0; i < keys_.size(); i += 97) {
-      ASSERT_LILSM_OK(reader_->Get(keys_[i], &value, &tag, &found));
+      ASSERT_LILSM_OK(ReaderGet(reader_.get(), keys_[i], &value, &tag, &found));
       ASSERT_TRUE(found) << IndexTypeName(type) << " key index " << i;
     }
   }
 }
 
-TEST_P(SegmentedTableTest, GetWithBoundsHonorsWindow) {
+TEST_P(SegmentedTableTest, BoundedGetHonorsWindow) {
   std::string value;
   uint64_t tag = 0;
   bool found = false;
   for (size_t i = 0; i < keys_.size(); i += 111) {
     const size_t lo = i >= 5 ? i - 5 : 0;
     const size_t hi = std::min(keys_.size() - 1, i + 5);
-    ASSERT_LILSM_OK(
-        reader_->GetWithBounds(keys_[i], lo, hi, &value, &tag, &found));
+    ASSERT_LILSM_OK(ReaderGet(reader_.get(), keys_[i], &value, &tag, &found,
+                              &lo, &hi));
     ASSERT_TRUE(found);
     EXPECT_EQ(value, DeriveValue(keys_[i], kValueSize));
   }
@@ -186,7 +187,7 @@ TEST_P(SegmentedTableTest, MultiGetMatchesGetOnSortedRuns) {
   uint64_t expected_tag = 0;
   bool expected_found = false;
   for (size_t i = 0; i < batch.size(); i++) {
-    ASSERT_LILSM_OK(reader_->Get(batch[i], &expected, &expected_tag,
+    ASSERT_LILSM_OK(ReaderGet(reader_.get(), batch[i], &expected, &expected_tag,
                                  &expected_found));
     ASSERT_EQ(founds[i], expected_found) << "key " << batch[i];
     if (expected_found) {
@@ -303,7 +304,7 @@ TEST(SegmentedTableIoTest, PointLookupCostsOneAlignedRead) {
   Random rnd(3);
   for (uint64_t i = 0; i < lookups; i++) {
     const Key key = keys[rnd.Uniform(keys.size())];
-    ASSERT_LILSM_OK(reader->Get(key, &value, &tag, &found));
+    ASSERT_LILSM_OK(ReaderGet(reader.get(), key, &value, &tag, &found));
     ASSERT_TRUE(found);
   }
   EXPECT_EQ(sim.io_stats()->random_reads.load(), lookups);
@@ -415,15 +416,16 @@ TEST(SegmentedTableBoundaryTest, LastSegmentClampsToDataEnd) {
   uint64_t tag = 0;
   bool found = false;
   for (size_t i = 0; i < keys.size(); i++) {
-    ASSERT_LILSM_OK(reader->Get(keys[i], &value, &tag, &found));
+    ASSERT_LILSM_OK(ReaderGet(reader.get(), keys[i], &value, &tag, &found));
     ASSERT_TRUE(found) << "key index " << i;
     EXPECT_EQ(value, DeriveValue(keys[i], kValueSize));
   }
   // Absent keys past the last entry's block boundary.
-  ASSERT_LILSM_OK(reader->Get(keys.back() - 1, &value, &tag, &found));
   ASSERT_LILSM_OK(
-      reader->GetWithBounds(keys.back(), keys.size() - 2, keys.size() + 50,
-                            &value, &tag, &found));
+      ReaderGet(reader.get(), keys.back() - 1, &value, &tag, &found));
+  const size_t lo = keys.size() - 2, hi = keys.size() + 50;
+  ASSERT_LILSM_OK(
+      ReaderGet(reader.get(), keys.back(), &value, &tag, &found, &lo, &hi));
   EXPECT_TRUE(found);
 
   // Full scan and tail seeks drive the iterator's block-by-block fetches
@@ -473,7 +475,7 @@ TEST(SegmentedTableBoundaryTest, LastSegmentCachedMatchesDirect) {
   bool found = false;
   for (int pass = 0; pass < 2; pass++) {  // cold then fully cached
     for (size_t i = 0; i < keys.size(); i++) {
-      ASSERT_LILSM_OK(reader->Get(keys[i], &value, &tag, &found));
+      ASSERT_LILSM_OK(ReaderGet(reader.get(), keys[i], &value, &tag, &found));
       ASSERT_TRUE(found) << "pass " << pass << " key index " << i;
       EXPECT_EQ(value, DeriveValue(keys[i], kValueSize));
     }

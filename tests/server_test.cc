@@ -38,13 +38,13 @@ DBOptions ServerDbOptions() {
   options.write_buffer_size = 64 << 10;
   options.sstable_target_size = 32 << 10;
   options.l0_compaction_trigger = 2;
-  options.value_size = kValueSize;  // flushed tables need fixed-size values
+  options.value_size = kValueSize;  // Write admits only this value size
   options.group_commit = true;      // concurrent client writes coalesce
   return options;
 }
 
-/// Pads to exactly kValueSize — anything that reaches a flushed SSTable
-/// must respect the segmented format's fixed value geometry.
+/// Pads to exactly kValueSize: the segmented format's fixed value
+/// geometry, which DB::Write enforces at admission.
 std::string FixedValue(const std::string& tag) {
   std::string value = tag;
   value.resize(kValueSize, '.');
@@ -163,11 +163,11 @@ TEST_F(ServerTest, BasicOpsRoundTrip) {
   std::unique_ptr<Client> client = MustConnect();
   ASSERT_LILSM_OK(client->Ping());
 
-  ASSERT_LILSM_OK(client->Put(1, "one"));
-  ASSERT_LILSM_OK(client->Put(2, "two"));
+  ASSERT_LILSM_OK(client->Put(1, FixedValue("one")));
+  ASSERT_LILSM_OK(client->Put(2, FixedValue("two")));
   std::string value;
   ASSERT_LILSM_OK(client->Get(1, &value));
-  EXPECT_EQ(value, "one");
+  EXPECT_EQ(value, FixedValue("one"));
   EXPECT_TRUE(client->Get(99, &value).IsNotFound());
 
   ASSERT_LILSM_OK(client->Delete(1));
@@ -175,8 +175,8 @@ TEST_F(ServerTest, BasicOpsRoundTrip) {
 
   // A WriteBatch applies atomically server-side.
   WriteBatch batch;
-  batch.Put(10, "ten");
-  batch.Put(11, "eleven");
+  batch.Put(10, FixedValue("ten"));
+  batch.Put(11, FixedValue("eleven"));
   batch.Delete(2);
   ASSERT_LILSM_OK(client->Write(batch));
 
@@ -186,17 +186,48 @@ TEST_F(ServerTest, BasicOpsRoundTrip) {
   ASSERT_LILSM_OK(client->MultiGet(keys, &values, &statuses));
   ASSERT_EQ(statuses.size(), keys.size());
   EXPECT_LILSM_OK(statuses[0]);
-  EXPECT_EQ(values[0], "ten");
-  EXPECT_EQ(values[1], "eleven");
+  EXPECT_EQ(values[0], FixedValue("ten"));
+  EXPECT_EQ(values[1], FixedValue("eleven"));
   EXPECT_TRUE(statuses[2].IsNotFound());
   EXPECT_TRUE(statuses[3].IsNotFound());
 }
 
+// A wrong-size value is refused per request: the client sees
+// InvalidArgument, its connection keeps serving, and nothing reaches the
+// WAL — so a flush and a reopen both succeed afterwards.
+TEST_F(ServerTest, WrongSizeValueIsRejectedPerRequest) {
+  StartServer();
+  std::unique_ptr<Client> client = MustConnect();
+  EXPECT_TRUE(client->Put(1, "short").IsInvalidArgument());
+  WriteBatch batch;
+  batch.Put(2, FixedValue("fits"));
+  batch.Put(3, std::string(kValueSize + 1, 'x'));
+  EXPECT_TRUE(client->Write(batch).IsInvalidArgument());
+
+  ASSERT_LILSM_OK(client->Ping());
+  ASSERT_LILSM_OK(client->Put(4, FixedValue("four")));
+  std::string value;
+  EXPECT_TRUE(client->Get(2, &value).IsNotFound());
+  ASSERT_LILSM_OK(client->Get(4, &value));
+  EXPECT_EQ(value, FixedValue("four"));
+  ASSERT_LILSM_OK(db_->FlushMemTable());
+  client.reset();
+
+  StopServer();
+  std::unique_ptr<DB> reopened;
+  ASSERT_LILSM_OK(DB::Open(ServerDbOptions(), dir_.path() + "/db",
+                           &reopened));
+  ASSERT_LILSM_OK(reopened->Get(4, &value));
+  EXPECT_EQ(value, FixedValue("four"));
+  EXPECT_TRUE(reopened->Get(1, &value).IsNotFound());
+}
+
 TEST_F(ServerTest, LargeMultiGetBatchOneFrameEachWay) {
-  // Variable-length values: keep everything in the memtable (no flush —
-  // flushed tables require fixed-size values).
+  // Variable-length values need the block table format: the segmented
+  // format admits only value_size-byte values.
   DBOptions db_options = ServerDbOptions();
-  db_options.write_buffer_size = 4 << 20;
+  db_options.table_format = TableFormat::kBlocked;
+  db_options.value_size = 0;
   StartServer(ServerOptions(), db_options);
   std::unique_ptr<Client> client = MustConnect();
   // Values large enough that the response spans many socket buffers,
@@ -219,7 +250,7 @@ TEST_F(ServerTest, LargeMultiGetBatchOneFrameEachWay) {
 TEST_F(ServerTest, SnapshotPinsAPointInTimeView) {
   StartServer();
   std::unique_ptr<Client> client = MustConnect();
-  ASSERT_LILSM_OK(client->Put(5, "before"));
+  ASSERT_LILSM_OK(client->Put(5, FixedValue("before")));
 
   uint64_t snap_id = 0;
   SequenceNumber seq = 0;
@@ -227,24 +258,24 @@ TEST_F(ServerTest, SnapshotPinsAPointInTimeView) {
   EXPECT_GT(snap_id, 0u);
   EXPECT_GT(seq, 0u);
 
-  ASSERT_LILSM_OK(client->Put(5, "after"));
-  ASSERT_LILSM_OK(client->Put(6, "new key"));
+  ASSERT_LILSM_OK(client->Put(5, FixedValue("after")));
+  ASSERT_LILSM_OK(client->Put(6, FixedValue("new key")));
 
   ClientReadOptions at_snap;
   at_snap.snapshot_id = snap_id;
   std::string value;
   ASSERT_LILSM_OK(client->Get(at_snap, 5, &value));
-  EXPECT_EQ(value, "before");
+  EXPECT_EQ(value, FixedValue("before"));
   EXPECT_TRUE(client->Get(at_snap, 6, &value).IsNotFound());
   ASSERT_LILSM_OK(client->Get(5, &value));
-  EXPECT_EQ(value, "after");
+  EXPECT_EQ(value, FixedValue("after"));
 
   // MultiGet honors the snapshot too.
   const std::vector<Key> keys = {5, 6};
   std::vector<std::string> values;
   std::vector<Status> statuses;
   ASSERT_LILSM_OK(client->MultiGet(at_snap, keys, &values, &statuses));
-  EXPECT_EQ(values[0], "before");
+  EXPECT_EQ(values[0], FixedValue("before"));
   EXPECT_TRUE(statuses[1].IsNotFound());
 
   ASSERT_LILSM_OK(client->ReleaseSnapshot(snap_id));
@@ -258,7 +289,7 @@ TEST_F(ServerTest, SnapshotsAreConnectionScoped) {
   StartServer();
   std::unique_ptr<Client> alice = MustConnect();
   std::unique_ptr<Client> bob = MustConnect();
-  ASSERT_LILSM_OK(alice->Put(1, "v"));
+  ASSERT_LILSM_OK(alice->Put(1, FixedValue("v")));
   uint64_t snap_id = 0;
   ASSERT_LILSM_OK(alice->NewSnapshot(&snap_id));
   // Bob cannot see (or release) Alice's snapshot.
@@ -274,7 +305,7 @@ TEST_F(ServerTest, DisconnectReleasesLeakedSnapshots) {
   StartServer();
   {
     std::unique_ptr<Client> client = MustConnect();
-    ASSERT_LILSM_OK(client->Put(1, "v"));
+    ASSERT_LILSM_OK(client->Put(1, FixedValue("v")));
     uint64_t ignored = 0;
     ASSERT_LILSM_OK(client->NewSnapshot(&ignored));
     ASSERT_LILSM_OK(client->NewSnapshot(&ignored));
@@ -289,7 +320,7 @@ TEST_F(ServerTest, DisconnectReleasesLeakedSnapshots) {
 TEST_F(ServerTest, GarbageBytesGetOneErrorFrameThenClose) {
   StartServer();
   std::unique_ptr<Client> healthy = MustConnect();
-  ASSERT_LILSM_OK(healthy->Put(1, "v"));
+  ASSERT_LILSM_OK(healthy->Put(1, FixedValue("v")));
 
   // Junk that parses as a plausible length (32) followed by garbage: the
   // CRC check is what catches it.
@@ -304,7 +335,7 @@ TEST_F(ServerTest, GarbageBytesGetOneErrorFrameThenClose) {
   // The event loop and every other client survived.
   std::string value;
   ASSERT_LILSM_OK(healthy->Get(1, &value));
-  EXPECT_EQ(value, "v");
+  EXPECT_EQ(value, FixedValue("v"));
 }
 
 TEST_F(ServerTest, CorruptCrcGetsErrorAndClose) {
@@ -461,8 +492,8 @@ TEST_F(ServerTest, ManyClientsInterleave) {
       const Key base = static_cast<Key>(c + 1) << 32;
       for (Key i = 0; i < kPerClient; i++) {
         ASSERT_LILSM_OK(
-            client->Put(base + i, "c" + std::to_string(c) + "-" +
-                                      std::to_string(i)));
+            client->Put(base + i, FixedValue("c" + std::to_string(c) + "-" +
+                                                 std::to_string(i))));
       }
       std::vector<Key> keys;
       for (Key i = 0; i < kPerClient; i++) keys.push_back(base + i);
@@ -471,8 +502,8 @@ TEST_F(ServerTest, ManyClientsInterleave) {
       ASSERT_LILSM_OK(client->MultiGet(keys, &values, &statuses));
       for (Key i = 0; i < kPerClient; i++) {
         ASSERT_LILSM_OK(statuses[i]);
-        ASSERT_EQ(values[i],
-                  "c" + std::to_string(c) + "-" + std::to_string(i));
+        ASSERT_EQ(values[i], FixedValue("c" + std::to_string(c) + "-" +
+                                        std::to_string(i)));
       }
     });
   }

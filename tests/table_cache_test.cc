@@ -15,6 +15,7 @@ namespace lilsm {
 namespace {
 
 using testing_util::RandomGapKeys;
+using testing_util::ReaderGet;
 using testing_util::ScratchDir;
 
 class TableCacheTest : public ::testing::Test {
@@ -163,8 +164,8 @@ TEST_F(TableCacheTest, EvictPurgesBlockCacheEntries) {
   std::vector<Key> keys1, keys2;
   ASSERT_LILSM_OK(r1->ReadAllKeys(&keys1));
   ASSERT_LILSM_OK(r2->ReadAllKeys(&keys2));
-  ASSERT_LILSM_OK(r1->Get(keys1[0], &value, &tag, &found));
-  ASSERT_LILSM_OK(r2->Get(keys2[0], &value, &tag, &found));
+  ASSERT_LILSM_OK(ReaderGet(r1.get(), keys1[0], &value, &tag, &found));
+  ASSERT_LILSM_OK(ReaderGet(r2.get(), keys2[0], &value, &tag, &found));
   const size_t warm = options.block_cache->MemoryUsage();
   ASSERT_GT(warm, 0u);
 

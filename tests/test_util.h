@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "index/index.h"
+#include "table/table.h"
 #include "util/env.h"
 #include "util/random.h"
 
@@ -69,6 +70,16 @@ inline std::vector<Key> RandomGapKeys(size_t n, uint64_t seed,
     current += 1 + rnd.Uniform(max_gap);
   }
   return keys;
+}
+
+/// Point lookup through a table reader: a one-key MultiGet, optionally
+/// with a level-model style inclusive entry window [*lo, *hi].
+inline Status ReaderGet(TableReader* reader, Key key, std::string* value,
+                        uint64_t* tag, bool* found,
+                        const size_t* lo = nullptr,
+                        const size_t* hi = nullptr) {
+  return reader->MultiGet(std::span<const Key>(&key, 1), lo, hi, value, tag,
+                          found, /*stats=*/nullptr);
 }
 
 #define ASSERT_LILSM_OK(expr)                                 \
