@@ -1,10 +1,12 @@
 // Microbenchmarks (google-benchmark): index build and predict costs per
 // type, plus the DESIGN.md ablations — PGM's EpsilonRecursive and
-// RadixSpline's RadixBits (the paper fixes them at 4 and 1).
+// RadixSpline's RadixBits (the paper fixes them at 4 and 1) — and the
+// crc32c cost every checksummed byte pays.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
 #include "index/index.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 #include "workload/dataset.h"
 
@@ -101,6 +103,20 @@ void BM_RadixSplineBits(benchmark::State& state) {
       static_cast<double>(index->MemoryUsage());
 }
 
+void BM_Crc32c(benchmark::State& state) {
+  // Sizes: a WAL Put record (160 B), a 16-key MultiGet wire frame (2 KiB),
+  // an io block (4 KiB). The label says which body Extend dispatches to.
+  const size_t n = static_cast<size_t>(state.range(0));
+  Random rnd(13);
+  std::string buf(n, '\0');
+  for (char& c : buf) c = static_cast<char>(rnd.Uniform(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32c::Value(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(n));
+  state.SetLabel(crc32c::IsAccelerated() ? "sse4.2" : "portable");
+}
+
 void RegisterAll() {
   for (IndexType type : kAllIndexTypes) {
     for (int64_t boundary : {256, 32, 8}) {
@@ -123,6 +139,11 @@ void RegisterAll() {
   for (int64_t bits : {1, 4, 8, 16}) {
     benchmark::RegisterBenchmark("BM_RadixSplineBits", BM_RadixSplineBits)
         ->Arg(bits)
+        ->MinTime(0.05);
+  }
+  for (int64_t bytes : {160, 2048, 4096}) {
+    benchmark::RegisterBenchmark("BM_Crc32c", BM_Crc32c)
+        ->Arg(bytes)
         ->MinTime(0.05);
   }
 }

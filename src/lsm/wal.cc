@@ -14,6 +14,10 @@ namespace {
 /// damaged header, not a real record.
 constexpr uint32_t kMaxRecordLength = 1u << 30;
 
+/// Payload read granularity; bounds what a record allocates beyond the
+/// bytes actually present in the file.
+constexpr size_t kReadChunk = 64 << 10;
+
 }  // namespace
 
 Status LogWriter::AddRecord(const Slice& record) {
@@ -94,13 +98,21 @@ LogReadStatus LogReader::ReadInternal(std::string* record) {
     return EofWithin(length) ? LogReadStatus::kTornTail
                              : LogReadStatus::kCorruption;
   }
-  record->resize(length);
-  Slice payload;
-  s = ReadFully(length, &payload, record->data());
-  if (!s.ok() || payload.size() < length) {
-    return LogReadStatus::kTornTail;  // EOF inside the payload
+  // Grow the record only as its bytes arrive: a garbage length just under
+  // the cap must not allocate (and zero-fill) a gigabyte for a payload the
+  // file does not hold.
+  record->clear();
+  while (record->size() < length) {
+    const size_t got = record->size();
+    const size_t want = std::min<size_t>(length - got, kReadChunk);
+    record->resize(got + want);
+    Slice chunk;
+    s = ReadFully(want, &chunk, record->data() + got);
+    if (!s.ok() || chunk.size() < want) {
+      return LogReadStatus::kTornTail;  // EOF inside the payload
+    }
   }
-  if (crc32c::Value(payload.data(), payload.size()) != expected_crc) {
+  if (crc32c::Value(record->data(), record->size()) != expected_crc) {
     // Full payload, bad checksum. On the final record this is the torn
     // tail of a crash (zero-filled or partially persisted sectors); with
     // valid bytes beyond it, the middle of the log is damaged.

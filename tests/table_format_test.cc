@@ -80,6 +80,34 @@ TEST(ChecksummedBlockTest, WriteReadVerify) {
                   .IsCorruption());
 }
 
+TEST(ChecksummedBlockTest, EveryFlippedBitFailsVerify) {
+  ScratchDir dir("fmt");
+  const std::string fname = dir.file("blk");
+  std::unique_ptr<WritableFile> file;
+  ASSERT_LILSM_OK(Env::Default()->NewWritableFile(fname, &file));
+  std::string payload(300, '\0');
+  Random rnd(5);
+  for (char& c : payload) c = static_cast<char>(rnd.Uniform(256));
+  BlockHandle handle;
+  ASSERT_LILSM_OK(WriteChecksummedBlock(file.get(), 0, payload, &handle));
+  ASSERT_LILSM_OK(file->Close());
+  std::string raw;
+  ASSERT_LILSM_OK(ReadFileToString(Env::Default(), fname, &raw));
+  ASSERT_EQ(raw.size(), handle.size);
+
+  std::string contents;
+  ASSERT_LILSM_OK(VerifyChecksummedBlock(raw.data(), raw.size(), &contents));
+  EXPECT_EQ(contents, payload);
+  // A flip in the payload or in the crc trailer must be caught.
+  for (size_t bit = 0; bit < raw.size() * 8; bit++) {
+    std::string bad = raw;
+    bad[bit / 8] = static_cast<char>(bad[bit / 8] ^ (1 << (bit % 8)));
+    EXPECT_TRUE(VerifyChecksummedBlock(bad.data(), bad.size(), &contents)
+                    .IsCorruption())
+        << "flipped bit " << bit;
+  }
+}
+
 TEST(UserKeyCodecTest, BigEndianOrderMatchesIntegerOrder) {
   Random rnd(3);
   char a_buf[24], b_buf[24];

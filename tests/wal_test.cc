@@ -205,15 +205,62 @@ TEST(WalTypedTest, CrcMismatchMidLogIsCorruption) {
 TEST(WalTypedTest, GarbageLengthAtTailIsTornTail) {
   ScratchDir dir("wal");
   const std::string fname = dir.file("log");
-  std::string contents = BuildLog(fname, {"first"});
-  // Append a scribbled header claiming an absurd (> 1 GiB) payload with
-  // only a few bytes behind it: the torn final record of a crash.
-  contents.append("\xff\xff\xff\xff", 4);  // crc
-  contents.append("\xff\xff\xff\x7f", 4);  // length = 0x7fffffff
-  contents.append("junk");
-  std::vector<std::string> read;
-  EXPECT_EQ(Replay(fname, contents, &read), LogReadStatus::kTornTail);
-  EXPECT_EQ(read, (std::vector<std::string>{"first"}));
+  const std::string log = BuildLog(fname, {"first"});
+  // A scribbled header with only a few bytes behind it: the torn final
+  // record of a crash. One length is above the 1 GiB record cap, one just
+  // under it; neither may allocate what the file does not hold.
+  for (const char* length : {"\xff\xff\xff\x7f", "\xff\xff\xff\x3f"}) {
+    std::string contents = log;
+    contents.append("\xff\xff\xff\xff", 4);  // crc
+    contents.append(length, 4);                // 0x7fffffff, 0x3fffffff
+    contents.append("junk");
+    ASSERT_LILSM_OK(WriteStringToFile(Env::Default(), contents, fname));
+    std::unique_ptr<LogReader> reader;
+    ASSERT_LILSM_OK(OpenReader(fname, &reader));
+    std::string record;
+    ASSERT_EQ(reader->Read(&record), LogReadStatus::kOk);
+    EXPECT_EQ(record, "first");
+    EXPECT_EQ(reader->Read(&record), LogReadStatus::kTornTail);
+    EXPECT_LT(record.capacity(), size_t{1} << 20);
+  }
+}
+
+// Every single-bit flip in a two-record log. A damaged record is never
+// served: the records read are always an intact prefix of the log.
+TEST(WalTypedTest, EveryFlippedBitIsCaught) {
+  ScratchDir dir("wal");
+  const std::string fname = dir.file("log");
+  const std::vector<std::string> records = {"first record payload",
+                                            "second record payload"};
+  const std::string log = BuildLog(fname, records);
+  const size_t second = 8 + records[0].size();  // offset of record two
+  for (size_t bit = 0; bit < log.size() * 8; bit++) {
+    const size_t byte = bit / 8;
+    std::string contents = log;
+    contents[byte] = static_cast<char>(contents[byte] ^ (1 << (bit % 8)));
+    std::vector<std::string> read;
+    const LogReadStatus status = Replay(fname, contents, &read);
+    const bool in_final = byte >= second;
+    const size_t offset = byte - (in_final ? second : 0);
+    const bool in_length = offset >= 4 && offset < 8;
+    // Records before the damaged one are intact and returned.
+    const std::vector<std::string> intact =
+        in_final ? std::vector<std::string>{records[0]}
+                 : std::vector<std::string>{};
+    EXPECT_EQ(read, intact) << "flipped bit " << bit;
+    if (in_length) {
+      // A flipped length moves the record's claimed end: past EOF reads as
+      // a torn tail, short of it as a checksum failure. Either way replay
+      // stops at the damage (the header carries no checksum of its own).
+      EXPECT_NE(status, LogReadStatus::kEof) << "flipped bit " << bit;
+    } else {
+      // A flip in the crc or payload fails the checksum: mid-log that is
+      // corruption, on the final record the torn tail of a crash.
+      EXPECT_EQ(status, in_final ? LogReadStatus::kTornTail
+                                 : LogReadStatus::kCorruption)
+          << "flipped bit " << bit;
+    }
+  }
 }
 
 TEST(WalTypedTest, TerminalStatusIsSticky) {
