@@ -1,12 +1,20 @@
 // Microbenchmarks (google-benchmark): index build and predict costs per
 // type, plus the DESIGN.md ablations — PGM's EpsilonRecursive and
-// RadixSpline's RadixBits (the paper fixes them at 4 and 1) — and the
-// crc32c cost every checksummed byte pays.
+// RadixSpline's RadixBits (the paper fixes them at 4 and 1) — the
+// crc32c cost every checksummed byte pays, the block cache's cost per
+// segment fetch, and the clock read the stage timers pay.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "index/index.h"
 #include "util/crc32c.h"
+#include "util/env.h"
+#include "util/lru_cache.h"
 #include "util/random.h"
 #include "workload/dataset.h"
 
@@ -117,6 +125,82 @@ void BM_Crc32c(benchmark::State& state) {
   state.SetLabel(crc32c::IsAccelerated() ? "sse4.2" : "portable");
 }
 
+// The segmented reader's cached fetch over a cache much smaller than the
+// data: probe every block of a span, then either assemble it from the
+// cache or insert its blocks from the fetched bytes. The shape of the
+// point-lookup benchmark: 4 KiB blocks, 4-block spans, an 8 MiB cache
+// over 144 MiB of 4 MiB files, about 1% of spans all-hit.
+constexpr size_t kCacheBlock = 4096;
+constexpr size_t kSpanBlocks = 4;
+
+void BM_BlockCacheChurn(benchmark::State& state) {
+  constexpr uint64_t kBlocksPerFile = (4 << 20) / kCacheBlock;
+  constexpr uint64_t kFiles = 36;  // 144 MiB
+  BlockCache cache(8 << 20);
+  std::string fetched(kSpanBlocks * kCacheBlock, 'd');
+  std::vector<BlockCache::BlockRef> refs(kSpanBlocks);
+  Random rnd(17);
+  uint64_t span_hits = 0;
+  for (auto _ : state) {
+    const uint64_t file = 1 + rnd.Uniform(kFiles);
+    const uint64_t first =
+        rnd.Uniform(kBlocksPerFile - kSpanBlocks + 1) * kCacheBlock;
+    size_t hit_count = 0;
+    for (size_t i = 0; i < kSpanBlocks; i++) {
+      refs[i] = cache.Lookup(file, first + i * kCacheBlock);
+      if (refs[i] != nullptr) hit_count++;
+    }
+    if (hit_count == kSpanBlocks) {
+      for (size_t i = 0; i < kSpanBlocks; i++) {
+        std::memcpy(fetched.data() + i * kCacheBlock, refs[i]->data(),
+                    refs[i]->size());
+      }
+      span_hits++;
+    } else {
+      for (size_t i = 0; i < kSpanBlocks; i++) {
+        if (refs[i] != nullptr) continue;
+        cache.Insert(file, first + i * kCacheBlock,
+                     fetched.data() + i * kCacheBlock, kCacheBlock);
+      }
+    }
+    for (BlockCache::BlockRef& ref : refs) ref = nullptr;
+    benchmark::DoNotOptimize(fetched.data());
+    benchmark::ClobberMemory();
+  }
+  const double spans =
+      static_cast<double>(std::max<int64_t>(state.iterations(), 1));
+  state.counters["span_hit_pct"] = 100.0 * span_hits / spans;
+  state.counters["evictions_per_span"] = cache.evictions() / spans;
+}
+
+// An all-hit span: four lookups and the copy out of the cache.
+void BM_BlockCacheHitSpan(benchmark::State& state) {
+  BlockCache cache(8 << 20);
+  std::string fetched(kSpanBlocks * kCacheBlock, 'h');
+  for (size_t i = 0; i < kSpanBlocks; i++) {
+    cache.Insert(1, i * kCacheBlock, fetched.data() + i * kCacheBlock,
+                 kCacheBlock);
+  }
+  for (auto _ : state) {
+    for (size_t i = 0; i < kSpanBlocks; i++) {
+      BlockCache::BlockRef ref = cache.Lookup(1, i * kCacheBlock);
+      std::memcpy(fetched.data() + i * kCacheBlock, ref->data(),
+                  ref->size());
+    }
+    benchmark::DoNotOptimize(fetched.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+// One clock read: every ScopedTimer stage boundary pays it, about 25
+// times per point lookup.
+void BM_EnvNowNanos(benchmark::State& state) {
+  Env* env = Env::Default();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(env->NowNanos());
+  }
+}
+
 void RegisterAll() {
   for (IndexType type : kAllIndexTypes) {
     for (int64_t boundary : {256, 32, 8}) {
@@ -146,6 +230,12 @@ void RegisterAll() {
         ->Arg(bytes)
         ->MinTime(0.05);
   }
+  benchmark::RegisterBenchmark("BM_BlockCacheChurn", BM_BlockCacheChurn)
+      ->MinTime(0.2);
+  benchmark::RegisterBenchmark("BM_BlockCacheHitSpan", BM_BlockCacheHitSpan)
+      ->MinTime(0.05);
+  benchmark::RegisterBenchmark("BM_EnvNowNanos", BM_EnvNowNanos)
+      ->MinTime(0.05);
 }
 
 }  // namespace

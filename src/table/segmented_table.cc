@@ -314,8 +314,7 @@ Status SegmentedTableReader::FetchAlignedCached(uint64_t byte_lo,
       const uint64_t offset = byte_lo + i * block;
       const size_t block_len =
           static_cast<size_t>(std::min<uint64_t>(block, byte_hi - offset));
-      evicted += cache->Insert(file_number, offset,
-                               std::string(dst + i * block, block_len));
+      evicted += cache->Insert(file_number, offset, dst + i * block, block_len);
     }
     if (stats != nullptr && evicted > 0) {
       stats->Add(Counter::kBlockCacheEvictions, evicted);
@@ -604,6 +603,9 @@ Status SegmentedTableReader::PrepareMultiGet(
   // colder becomes one ReadRequest on the caller's batch. The span list
   // is final here, so the registered request pointers stay stable.
   BlockCache* cache = options_.block_cache.get();
+  // Reused across spans and calls, like FetchAlignedCached's; cleared
+  // after each span so no evicted block stays pinned between calls.
+  thread_local std::vector<BlockCache::BlockRef> refs;
   for (SegmentedPendingMultiGet::Span& span : p->spans) {
     const size_t len = static_cast<size_t>(span.byte_hi - span.byte_lo);
     span.buffer.resize(len);
@@ -612,7 +614,7 @@ Status SegmentedTableReader::PrepareMultiGet(
     if (cache != nullptr) {
       span.block_hit.assign(num_blocks, false);
       size_t hit_count = 0;
-      std::vector<BlockCache::BlockRef> refs(num_blocks);
+      refs.assign(num_blocks, nullptr);
       for (size_t b = 0; b < num_blocks; b++) {
         refs[b] = cache->Lookup(options_.cache_file_number,
                                 span.byte_lo + b * block);
@@ -631,8 +633,10 @@ Status SegmentedTableReader::PrepareMultiGet(
           std::memcpy(span.buffer.data() + b * block, refs[b]->data(),
                       refs[b]->size());
         }
+        refs.clear();
         continue;
       }
+      refs.clear();
       // Partially warm spans refetch whole, exactly like the synchronous
       // cached path: every block counts as a miss so hit% stays in
       // agreement with the Env-read savings.
@@ -686,9 +690,8 @@ Status SegmentedTableReader::FinishMultiGet(PendingMultiGet* pending,
         const uint64_t offset = span.byte_lo + b * block;
         const size_t block_len = static_cast<size_t>(
             std::min<uint64_t>(block, span.byte_hi - offset));
-        evicted += cache->Insert(
-            options_.cache_file_number, offset,
-            std::string(span.buffer.data() + b * block, block_len));
+        evicted += cache->Insert(options_.cache_file_number, offset,
+                                 span.buffer.data() + b * block, block_len);
       }
       if (stats != nullptr && evicted > 0) {
         stats->Add(Counter::kBlockCacheEvictions, evicted);
@@ -968,7 +971,7 @@ class SegmentedTableIterator final : public TableIterator {
       }
       if (cache != nullptr && fill_cache_) {
         evicted += cache->Insert(reader_->options_.cache_file_number,
-                                 pb->offset, std::string(pb->buf));
+                                 pb->offset, pb->buf);
       }
       ready_[pb->offset] = ReadyBlock{std::move(pb->buf), false};
     }

@@ -1,214 +1,132 @@
-// Sharded, charged-capacity LRU cache (the LevelDB/RocksDB block-cache
-// shape). `LRUCache<K, V>` is the generic engine: entries live in
-// per-shard LRU lists guarded by per-shard mutexes, each entry carries a
-// byte charge, and a shard evicts from its cold end whenever its charged
-// bytes exceed its slice of the capacity. Values are handed out as
-// `shared_ptr<const V>`, so an evicted entry stays alive for whoever is
-// still reading it — eviction only drops the cache's own reference.
+// The shared block cache: a sharded, charged-capacity LRU cache of table
+// blocks keyed by (file_number, block_offset) — the LevelDB/RocksDB
+// block-cache shape, written for its one use. Both table formats consult
+// it before touching the Env (see DESIGN.md "The shared block cache").
 //
-// `BlockCache` is the concrete instantiation the read stack shares: table
-// blocks keyed by (file_number, block_offset). Both table formats consult
-// it before touching the Env (see DESIGN.md "Block cache").
+// Each cached block is ONE allocation: a fixed `Block` header (key and
+// its hash, hash-chain link, LRU links, size, capacity, refcount) followed
+// by the block's bytes. Each shard keeps an intrusive LRU list and a
+// power-of-two chained hash table under its own mutex, charges every
+// block `size + kEntryOverhead` against its slice of the capacity, and
+// evicts from the cold end whenever the slice overflows.
+//
+// Blocks are handed out as `BlockRef`s, counted handles: the cache holds
+// one reference while a block is resident, so an evicted (or replaced,
+// or purged) block stays valid for whoever still holds a ref. A block
+// dropped while the cache is its only holder is parked in its shard and
+// its storage reused by a later Insert, so steady-state insert/evict
+// churn allocates and frees nothing.
 #ifndef LILSM_UTIL_LRU_CACHE_H_
 #define LILSM_UTIL_LRU_CACHE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <string>
-#include <unordered_map>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
-
 namespace lilsm {
-
-template <typename K, typename V, typename Hash = std::hash<K>>
-class LRUCache {
- public:
-  /// `capacity_bytes` is the total charged capacity across all shards;
-  /// `num_shards` is rounded up to a power of two. More shards cut mutex
-  /// contention at a small granularity cost (each shard enforces only its
-  /// slice of the capacity). Because an entry larger than its shard's
-  /// slice self-evicts on insert, the shard count is clamped down until
-  /// every slice holds at least kMinShardSlice bytes — a small cache
-  /// must degrade to fewer shards, not to a silent 100% miss rate.
-  explicit LRUCache(size_t capacity_bytes, size_t num_shards = 16)
-      : capacity_(capacity_bytes) {
-    size_t shards = 1;
-    while (shards < num_shards) shards <<= 1;
-    while (shards > 1 && capacity_bytes / shards < kMinShardSlice) {
-      shards >>= 1;
-    }
-    shard_mask_ = shards - 1;
-    shards_ = std::vector<Shard>(shards);
-    per_shard_capacity_ = capacity_bytes / shards;
-  }
-
-  LRUCache(const LRUCache&) = delete;
-  LRUCache& operator=(const LRUCache&) = delete;
-
-  /// Returns the cached value and promotes it to most-recently-used, or
-  /// null on a miss. Hit/miss tallies are kept internally; callers that
-  /// attribute them to a per-call Stats sink count on their side too.
-  std::shared_ptr<const V> Lookup(const K& key) {
-    Shard& shard = ShardFor(key);
-    MutexLock lock(&shard.mu);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return nullptr;
-    }
-    if (it->second != shard.lru.begin()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second->value;
-  }
-
-  /// Inserts (or replaces) `key` with `value` charged at `charge` bytes
-  /// and returns how many entries were evicted to make room. An entry
-  /// larger than its shard's capacity slice is evicted immediately — the
-  /// caller keeps its own copy of the data, so nothing is lost.
-  size_t Insert(const K& key, V value, size_t charge) {
-    Shard& shard = ShardFor(key);
-    size_t evicted = 0;
-    MutexLock lock(&shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      shard.usage -= it->second->charge;
-      shard.lru.erase(it->second);
-      shard.map.erase(it);
-    }
-    shard.lru.push_front(
-        Entry{key, std::make_shared<const V>(std::move(value)), charge});
-    shard.map[key] = shard.lru.begin();
-    shard.usage += charge;
-    while (shard.usage > per_shard_capacity_ && !shard.lru.empty()) {
-      const Entry& cold = shard.lru.back();
-      shard.usage -= cold.charge;
-      shard.map.erase(cold.key);
-      shard.lru.pop_back();
-      evicted++;
-    }
-    if (evicted > 0) {
-      evictions_.fetch_add(evicted, std::memory_order_relaxed);
-    }
-    return evicted;
-  }
-
-  void Erase(const K& key) {
-    Shard& shard = ShardFor(key);
-    MutexLock lock(&shard.mu);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) return;
-    shard.usage -= it->second->charge;
-    shard.lru.erase(it->second);
-    shard.map.erase(it);
-  }
-
-  /// Drops every entry matching `pred` (the invalidation hook: purge a
-  /// deleted file's blocks). Linear in the cache size; invalidation is
-  /// compaction-rate, not lookup-rate.
-  template <typename Pred>
-  void EraseIf(Pred pred) {
-    for (Shard& shard : shards_) {
-      MutexLock lock(&shard.mu);
-      for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-        if (pred(it->key)) {
-          shard.usage -= it->charge;
-          shard.map.erase(it->key);
-          it = shard.lru.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-  }
-
-  void Clear() {
-    for (Shard& shard : shards_) {
-      MutexLock lock(&shard.mu);
-      shard.lru.clear();
-      shard.map.clear();
-      shard.usage = 0;
-    }
-  }
-
-  /// Total charged bytes currently held (summed per shard; not an atomic
-  /// snapshot under concurrent mutation, like the Stats accessors).
-  size_t MemoryUsage() const {
-    size_t total = 0;
-    for (const Shard& shard : shards_) {
-      MutexLock lock(&shard.mu);
-      total += shard.usage;
-    }
-    return total;
-  }
-
-  size_t size() const {
-    size_t total = 0;
-    for (const Shard& shard : shards_) {
-      MutexLock lock(&shard.mu);
-      total += shard.map.size();
-    }
-    return total;
-  }
-
-  size_t capacity() const { return capacity_; }
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct Entry {
-    K key;
-    std::shared_ptr<const V> value;
-    size_t charge;
-  };
-
-  /// Cache-line aligned so neighbouring shard mutexes do not false-share.
-  struct alignas(64) Shard {
-    mutable Mutex mu;
-    /// front = most recently used.
-    std::list<Entry> lru GUARDED_BY(mu);
-    std::unordered_map<K, typename std::list<Entry>::iterator, Hash> map
-        GUARDED_BY(mu);
-    size_t usage GUARDED_BY(mu) = 0;  // charged bytes
-  };
-
-  Shard& ShardFor(const K& key) { return shards_[Hash{}(key) & shard_mask_]; }
-
-  /// Floor on a shard's capacity slice (see the constructor).
-  static constexpr size_t kMinShardSlice = 64 << 10;
-
-  const size_t capacity_;
-  size_t per_shard_capacity_ = 0;
-  size_t shard_mask_ = 0;
-  std::vector<Shard> shards_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-};
 
 /// The shared block cache: table blocks keyed by (file_number, offset).
 /// File numbers are never reused (VersionSet::NewFileNumber is monotonic),
 /// so a stale entry can never alias a new file's blocks — invalidation via
 /// EraseFile reclaims memory rather than guarding correctness.
 class BlockCache {
+ private:
+  struct Shard;
+
  public:
-  using BlockRef = std::shared_ptr<const std::string>;
+  class BlockRef;
+
+  /// One cached block: this header, then `size()` bytes in the same
+  /// allocation. Readers see only the const accessors; everything else
+  /// belongs to the owning shard and is touched under its mutex.
+  class Block {
+   public:
+    const char* data() const {
+      return reinterpret_cast<const char*>(this + 1);
+    }
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+   private:
+    friend class BlockCache;
+    friend class BlockRef;
+    friend struct BlockCache::Shard;
+    Block() = default;
+    char* bytes() { return reinterpret_cast<char*>(this + 1); }
+
+    uint64_t file_number_ = 0;
+    uint64_t offset_ = 0;
+    uint64_t hash_ = 0;
+    Block* next_hash_ = nullptr;  // bucket chain
+    Block* prev_ = nullptr;       // LRU links (circular, shard sentinel)
+    Block* next_ = nullptr;
+    size_t size_ = 0;
+    size_t capacity_ = 0;  // bytes allocated after the header
+    /// The cache's own reference (while resident) plus one per BlockRef.
+    std::atomic<uint32_t> refs_{0};
+  };
+
+  /// Counted handle to a cached block. Holding one keeps the block's
+  /// bytes valid and unchanged, even after the cache evicts, replaces or
+  /// purges the entry. Cheap to move; copying bumps the refcount.
+  class BlockRef {
+   public:
+    BlockRef() = default;
+    BlockRef(std::nullptr_t) {}
+    BlockRef(const BlockRef& other) : block_(other.block_) {
+      if (block_ != nullptr) {
+        block_->refs_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    BlockRef(BlockRef&& other) noexcept
+        : block_(std::exchange(other.block_, nullptr)) {}
+    BlockRef& operator=(BlockRef other) noexcept {
+      std::swap(block_, other.block_);
+      return *this;
+    }
+    ~BlockRef() {
+      if (block_ != nullptr) Unref(block_);
+    }
+
+    const Block* operator->() const { return block_; }
+    std::string_view operator*() const {
+      return {block_->data(), block_->size()};
+    }
+    bool operator==(std::nullptr_t) const { return block_ == nullptr; }
+
+   private:
+    friend class BlockCache;
+    explicit BlockRef(Block* block) : block_(block) {}
+    Block* block_ = nullptr;
+  };
 
   explicit BlockCache(size_t capacity_bytes);
+  ~BlockCache();
 
+  BlockCache(const BlockCache&) = delete;
+  BlockCache& operator=(const BlockCache&) = delete;
+
+  /// Returns the cached block and promotes it to most-recently-used, or
+  /// null on a miss. Hit/miss tallies are kept internally; callers that
+  /// attribute them to a per-call Stats sink count on their side too.
   BlockRef Lookup(uint64_t file_number, uint64_t offset);
-  /// Caches `block` and returns the number of entries evicted.
-  size_t Insert(uint64_t file_number, uint64_t offset, std::string block);
+
+  /// Caches a copy of `data[0, len)` (replacing any block already cached
+  /// under the key) and returns how many entries were evicted to make
+  /// room. A block larger than its shard's capacity slice evicts itself
+  /// at once — the caller keeps its own copy, so nothing is lost.
+  size_t Insert(uint64_t file_number, uint64_t offset, const char* data,
+                size_t len);
+  size_t Insert(uint64_t file_number, uint64_t offset,
+                std::string_view block) {
+    return Insert(file_number, offset, block.data(), block.size());
+  }
+
   /// Purges every block of `file_number` (the file was deleted).
   void EraseFile(uint64_t file_number);
   /// Purges every block of the given (sorted or unsorted) files in one
@@ -217,28 +135,27 @@ class BlockCache {
   void EraseFiles(const std::vector<uint64_t>& file_numbers);
   void Clear();
 
-  size_t MemoryUsage() const;
-  size_t size() const;
-  size_t capacity() const;
-  uint64_t hits() const;
-  uint64_t misses() const;
-  uint64_t evictions() const;
+  /// Total charged bytes currently held (summed per shard; not an atomic
+  /// snapshot under concurrent mutation, like the Stats accessors).
+  size_t MemoryUsage() const { return Sum().usage; }
+  size_t size() const { return Sum().count; }
+  size_t capacity() const { return capacity_; }
+  uint64_t hits() const { return Sum().hits; }
+  uint64_t misses() const { return Sum().misses; }
+  uint64_t evictions() const { return Sum().evictions; }
 
  private:
-  struct BlockKey {
-    uint64_t file_number;
-    uint64_t offset;
-    bool operator==(const BlockKey& other) const {
-      return file_number == other.file_number && offset == other.offset;
-    }
-  };
-  struct BlockKeyHash {
-    size_t operator()(const BlockKey& key) const;
+  /// Per-shard state summed across shards, each read under its mutex.
+  struct Totals {
+    size_t usage = 0;
+    size_t count = 0;
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t evictions = 0;
   };
 
-  /// Per-entry bookkeeping overhead added to each block's byte charge
-  /// (key, list node, map slot) so tiny blocks cannot blow past the
-  /// configured memory budget.
+  /// Per-entry bookkeeping overhead added to each block's byte charge so
+  /// tiny blocks cannot blow past the configured memory budget.
   static constexpr size_t kEntryOverhead = 64;
 
   /// Shard count scaled to the capacity: capacity is enforced per shard
@@ -247,8 +164,29 @@ class BlockCache {
   /// below 512 KiB, the full 16 from 4 MiB up).
   static size_t ShardsForCapacity(size_t capacity_bytes);
 
-  LRUCache<BlockKey, std::string, BlockKeyHash> cache_;
+  static uint64_t HashKey(uint64_t file_number, uint64_t offset);
+  /// Drops a BlockRef's reference; frees the block if it was the last.
+  static void Unref(Block* block) {
+    if (block->refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      Free(block);
+    }
+  }
+  static Block* Allocate(size_t capacity);
+  static void Free(Block* block);
+
+  Shard& ShardFor(uint64_t hash) const;
+  Totals Sum() const;
+  template <typename Pred>
+  void EraseIf(Pred pred);
+
+  const size_t capacity_;
+  const size_t per_shard_capacity_;
+  const size_t shard_mask_;
+  std::unique_ptr<Shard[]> shards_;
 };
+
+static_assert(std::is_standard_layout_v<BlockCache::Block>,
+              "a block's bytes follow its header in one allocation");
 
 }  // namespace lilsm
 
