@@ -145,9 +145,9 @@ void CompactionJob::MergeShard(const VersionSet::CompactionPick& pick,
         return;
       }
       output_number = ctx_.versions->NewFileNumber();
-      s = NewTableBuilder(ctx_.table_cache->options(),
-                          TableFileName(ctx_.dbname, output_number),
-                          &builder);
+      s = TableBuilder::Open(ctx_.table_cache->options(),
+                             TableFileName(ctx_.dbname, output_number),
+                             &builder);
       if (!s.ok()) {
         shard->status = s;
         return;

@@ -181,13 +181,11 @@ class DBImpl final : public DB {
 
   Status Write(const WriteOptions& wopts, WriteBatch* batch) override {
     if (batch->Count() == 0) return Status::OK();
-    if (options_.table_format == TableFormat::kSegmented) {
-      // Admission: a wrong-size value would be acknowledged, then fail
-      // every flush — and every reopen's recovery flush. Reject the batch
-      // before it is queued or reaches the WAL.
-      Status s = batch->CheckValueSizes(options_.value_size);
-      if (!s.ok()) return s;
-    }
+    // Admission: a wrong-size value would be acknowledged, then fail every
+    // flush — and every reopen's recovery flush. Reject the batch before it
+    // is queued or reaches the WAL.
+    Status admitted = batch->CheckValueSizes(options_.value_size);
+    if (!admitted.ok()) return admitted;
     MutexLock lock(&mutex_);
     if (options_.group_commit) return WriteGrouped(wopts, batch);
     if (background_mode()) {
@@ -529,20 +527,17 @@ class DBImpl final : public DB {
 
   /// True when the write path should produce model deltas: maintained
   /// policy AND a configuration whose read path can consult level models
-  /// (kLevel granularity over segmented tables). Other combinations would
-  /// build artifacts nobody reads — worse, non-positional formats cannot
-  /// stitch, degrading every install to a full-level scan.
+  /// (kLevel granularity). Other combinations would build artifacts nobody
+  /// reads.
   bool maintained_models() const {
     return options_.level_model_policy ==
                LevelModelPolicy::kCompactionMaintained &&
            level_models();
   }
 
-  /// True when lookups below L0 consult level models: kLevel granularity
-  /// over segmented tables (block tables have no positional entries).
+  /// True when lookups below L0 consult level models (kLevel granularity).
   bool level_models() const {
-    return options_.index_granularity == IndexGranularity::kLevel &&
-           options_.table_format == TableFormat::kSegmented;
+    return options_.index_granularity == IndexGranularity::kLevel;
   }
 
   ReadView PinView(const Snapshot* snapshot) {
@@ -665,8 +660,8 @@ class DBImpl final : public DB {
   /// The MultiGet core: serves a batch against one pinned view. Sorts the
   /// batch, drains memtable hits, then for every level groups the
   /// remaining keys into per-table runs so each table's reader fetch,
-  /// bloom filter, and learned index are consulted per run (the segmented
-  /// reader additionally reuses its fetched block across a run). Under
+  /// bloom filter, and learned index are consulted per run (the reader
+  /// additionally reuses its fetched block across a run). Under
   /// kLevel granularity the level model is resolved once per level and
   /// its per-key predictions are handed to the reader as bounds. Each
   /// level is planned once; with io_depth > 1 the runs of a level below
@@ -943,7 +938,6 @@ class DBImpl final : public DB {
     TableOptions topts;
     topts.env = env_;
     topts.stats = const_cast<Stats*>(&stats_);
-    topts.format = options_.table_format;
     topts.key_size = options_.key_size;
     topts.value_size = options_.value_size;
     topts.bloom_bits_per_key = options_.bloom_bits_per_key;
@@ -1495,8 +1489,8 @@ class DBImpl final : public DB {
 
     const uint64_t number = versions_->NewFileNumber();
     std::unique_ptr<TableBuilder> builder;
-    Status s = NewTableBuilder(table_cache_->options(),
-                               TableFileName(dbname_, number), &builder);
+    Status s = TableBuilder::Open(table_cache_->options(),
+                                  TableFileName(dbname_, number), &builder);
     if (!s.ok()) return s;
 
     meta->number = number;
@@ -1794,10 +1788,10 @@ class DBImpl final : public DB {
 }  // namespace
 
 Status DBOptions::Validate() const {
-  if (table_format == TableFormat::kSegmented && value_size == 0) {
+  if (value_size == 0) {
     return Status::InvalidArgument(
         "DBOptions::value_size",
-        "the segmented format's fixed entry geometry needs value_size > 0");
+        "the table's fixed entry geometry needs value_size > 0");
   }
   if (size_ratio <= 0) {
     return Status::InvalidArgument("DBOptions::size_ratio",
@@ -1826,10 +1820,10 @@ Status DBOptions::Validate() const {
         "DBOptions::key_size",
         "must be at least 8 bytes to round-trip the uint64_t Key");
   }
-  if (key_size > 64) {
+  if (key_size > kMaxKeySize) {
     return Status::InvalidArgument(
         "DBOptions::key_size",
-        "must be at most 64 bytes (the table formats' key buffers)");
+        "must be at most 64 bytes (the table reader's key buffer)");
   }
   if (max_background_jobs <= 0) {
     return Status::InvalidArgument("DBOptions::max_background_jobs",

@@ -59,11 +59,11 @@ enum class LevelModelPolicy : uint8_t {
   /// (touching only changed files, zero key re-reads), with a full
   /// retrain fallback governed by model_stitch_blowup. Bourbon-style
   /// train-on-the-write-path for write-heavy serving. Engages only when
-  /// the read path can consult level models (kLevel granularity over
-  /// kSegmented tables); non-segment index types (RMI, RadixSpline,
-  /// PLEX, fence pointers) cannot stitch, so for them the write path
-  /// produces nothing and models fall back to lazy read-path builds —
-  /// prefer a segment-based type (PGM, PLR, FITing-Tree) here.
+  /// the read path can consult level models (kLevel granularity);
+  /// non-segment index types (RMI, RadixSpline, PLEX, fence pointers)
+  /// cannot stitch, so for them the write path produces nothing and
+  /// models fall back to lazy read-path builds — prefer a segment-based
+  /// type (PGM, PLR, FITing-Tree) here.
   kCompactionMaintained = 1,
 };
 
@@ -207,13 +207,13 @@ struct DBOptions {
 
   int bloom_bits_per_key = 10;
 
-  /// Entry geometry (paper: 24-byte keys, 1000-byte values). The segmented
-  /// format requires every value to have exactly value_size bytes; Write
-  /// rejects a batch holding any other size with InvalidArgument.
+  /// Entry geometry (paper: 24-byte keys, 1000-byte values). Tables store
+  /// fixed-size entries, so every value must have exactly value_size
+  /// bytes; Write rejects a batch holding any other size with
+  /// InvalidArgument.
   uint32_t key_size = 24;
   uint32_t value_size = 100;
 
-  TableFormat table_format = TableFormat::kSegmented;
   IndexType index_type = IndexType::kPGM;
   IndexConfig index_config;
   IndexGranularity index_granularity = IndexGranularity::kFile;
@@ -238,9 +238,9 @@ struct DBOptions {
   /// zero would force every lookup through a full open/parse cycle.
   size_t max_open_tables = 4096;
 
-  /// Charged capacity of the shared block cache consulted by both table
-  /// formats before any Env read of table data. 0 (default) disables
-  /// caching entirely, preserving the paper-reproduction path where each
+  /// Charged capacity of the shared block cache consulted by table readers
+  /// before any Env read of table data. 0 (default) disables caching
+  /// entirely, preserving the paper-reproduction path where each
   /// segment fetch is a device I/O with exactly the seed's SimEnv counts.
   size_t block_cache_bytes = 0;
 
@@ -256,7 +256,7 @@ struct DBOptions {
 
   /// Sanity-checks the option values against the engine's invariants;
   /// DB::Open calls this first and refuses to open on failure. Rejects a
-  /// zero value_size under the fixed-geometry segmented format,
+  /// zero value_size (tables store fixed-size entries),
   /// non-positive size_ratio and L0 triggers, a zero max_open_tables
   /// (every lookup would thrash a full table open/close), a key_size
   /// the 8-byte uint64_t Key cannot round-trip through (< 8, or past the

@@ -34,8 +34,8 @@ Status TableCache::GetReader(uint64_t file_number,
   // Open outside the lock: misses do disk I/O and must not serialize the
   // concurrent readers that hit the cache.
   std::unique_ptr<TableReader> opened;
-  Status s =
-      OpenTable(open_options, TableFileName(dbname_, file_number), &opened);
+  Status s = TableReader::Open(open_options,
+                               TableFileName(dbname_, file_number), &opened);
   if (!s.ok()) return s;
 
   MutexLock lock(&mu_);

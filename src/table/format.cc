@@ -61,21 +61,13 @@ Status ReadChecksummedBlock(RandomAccessFile* file, const BlockHandle& handle,
   if (contents.size() != handle.size) {
     return Status::Corruption("block: truncated read");
   }
-  return VerifyChecksummedBlock(contents.data(), contents.size(), result);
-}
-
-Status VerifyChecksummedBlock(const char* data, size_t size,
-                              std::string* result) {
-  if (size < 4) {
-    return Status::Corruption("block: smaller than crc trailer");
-  }
-  const size_t payload = size - 4;
-  const uint32_t expected = crc32c::Unmask(DecodeFixed32(data + payload));
-  const uint32_t actual = crc32c::Value(data, payload);
-  if (expected != actual) {
+  const size_t payload = contents.size() - 4;
+  const uint32_t expected =
+      crc32c::Unmask(DecodeFixed32(contents.data() + payload));
+  if (expected != crc32c::Value(contents.data(), payload)) {
     return Status::Corruption("block: checksum mismatch");
   }
-  result->assign(data, payload);
+  result->assign(contents.data(), payload);
   return Status::OK();
 }
 

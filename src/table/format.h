@@ -1,5 +1,5 @@
-// On-disk format shared by the table implementations: block handles, the
-// footer, and checksummed auxiliary blocks.
+// On-disk building blocks of a table file: block handles, the footer, and
+// checksummed auxiliary blocks.
 #ifndef LILSM_TABLE_FORMAT_H_
 #define LILSM_TABLE_FORMAT_H_
 
@@ -16,6 +16,10 @@ namespace lilsm {
 /// Default device I/O block: segment fetches are aligned to it and the
 /// simulated environment counts I/O in these units.
 constexpr uint64_t kIoBlockSize = 4096;
+
+/// Largest stored key a table accepts: the reader probes single keys
+/// through a buffer of this size.
+constexpr uint32_t kMaxKeySize = 64;
 
 /// Identifies a byte range within a table file.
 struct BlockHandle {
@@ -39,8 +43,8 @@ struct BlockHandle {
 ///   | padding | magic(8B)
 /// segments_handle names the model sidecar — the trained index's leaf
 /// segments, re-loadable at DB::Open without a key scan. A zero handle
-/// (offset 0, size 0) means the table carries no sidecar (formats and
-/// index types that cannot export segments).
+/// (offset 0, size 0) means the table carries no sidecar (index types
+/// that cannot export segments).
 struct Footer {
   BlockHandle meta_handle;
   BlockHandle bloom_handle;
@@ -64,13 +68,6 @@ Status WriteChecksummedBlock(WritableFile* file, uint64_t offset,
 /// On success `*result` owns the payload bytes (without the crc).
 Status ReadChecksummedBlock(RandomAccessFile* file, const BlockHandle& handle,
                             std::string* result);
-
-/// The verify half of ReadChecksummedBlock, for callers that fetched the
-/// raw handle bytes themselves (async batch reads): checks the crc32c
-/// trailer over `data[0, size)` and assigns the payload (without the crc)
-/// to `*result`.
-Status VerifyChecksummedBlock(const char* data, size_t size,
-                              std::string* result);
 
 /// Reads and decodes the footer of a table file of the given size.
 Status ReadFooter(RandomAccessFile* file, uint64_t file_size, Footer* footer);

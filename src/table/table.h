@@ -1,10 +1,21 @@
-// Abstract table interfaces. Two on-disk formats implement them:
+// The table file: the paper's LearnedIndexTable (Section 4.2) — fixed-size
+// entries, a pluggable serialized learned index, bloom filter, CRC footer.
+// The traditional baseline is the same layout with IndexType::kFencePointer.
 //
-//  * SegmentedTable — the paper's LearnedIndexTable: fixed-size entries,
-//    a pluggable serialized learned index, bloom filter, CRC footer.
-//  * BlockTable — the classic LevelDB-style format (prefix-compressed
-//    blocks indexed by per-block fence pointers), kept as the legacy
-//    baseline substrate and as a correctness cross-check.
+// On-disk layout:
+//   [data region]  count fixed-size entries, sorted by user key:
+//                    key_size bytes big-endian key (zero padded)
+//                    8  bytes tag = (sequence << 8) | ValueType
+//                    value_size bytes value
+//   [bloom block]  checksummed bloom filter over the user keys
+//   [index blob]   checksummed EncodeIndexWithType() of the trained index
+//   [sidecar]      checksummed leaf segments of the index (optional)
+//   [meta block]   checksummed table parameters (geometry, count, range)
+//   [footer]       handles + magic
+//
+// Point lookups predict an entry range with the learned index, fetch that
+// range with one pread aligned to the I/O block size, and binary search
+// inside the fetched bytes — exactly the paper's read path (Figure 1C).
 //
 // Entries carry a `tag` = (sequence << 8) | ValueType, exactly the LevelDB
 // internal-key trailer; user keys within one table are unique and strictly
@@ -17,7 +28,9 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
+#include "bloom/bloom.h"
 #include "index/index.h"
 #include "table/format.h"
 #include "util/env.h"
@@ -26,19 +39,13 @@
 
 namespace lilsm {
 
-enum class TableFormat : uint8_t {
-  kSegmented = 0,  // the paper's LearnedIndexTable
-  kBlocked = 1,    // classic LevelDB block format
-};
-
 /// Options governing how tables are written and read.
 struct TableOptions {
   Env* env = nullptr;         // required
   Stats* stats = nullptr;     // optional instrumentation sink
-  TableFormat format = TableFormat::kSegmented;
 
-  /// Entry geometry for the segmented format (paper: 24-byte keys,
-  /// 1000-byte values). Values must have exactly value_size bytes.
+  /// Entry geometry (paper: 24-byte keys, 1000-byte values). Values must
+  /// have exactly value_size bytes.
   uint32_t key_size = 24;
   uint32_t value_size = 1000;
 
@@ -63,7 +70,8 @@ struct TableOptions {
   uint32_t entry_size() const { return key_size + 8 + value_size; }
 };
 
-/// Iterator over a table's entries in key order.
+/// Iterator over entries in key order. Tables, memtables and the merging
+/// iterator implement it.
 class TableIterator {
  public:
   virtual ~TableIterator() = default;
@@ -81,59 +89,114 @@ class TableIterator {
   virtual Status status() const = 0;
 };
 
-/// Opaque per-run state carried from PrepareMultiGet to FinishMultiGet:
-/// each reader derives its own holding the key plan, span buffers, and the
-/// ReadRequests it registered with the batch. Destroying a pending object
-/// whose batch has not been waited is illegal (requests reference its
-/// buffers).
-class PendingMultiGet {
+class TableBuilder {
  public:
-  virtual ~PendingMultiGet() = default;
+  /// Creates `fname` for writing.
+  static Status Open(const TableOptions& options, const std::string& fname,
+                     std::unique_ptr<TableBuilder>* builder);
+  ~TableBuilder();
+
+  /// Adds an entry; keys must arrive strictly increasing.
+  Status Add(Key key, uint64_t tag, const Slice& value);
+
+  /// Trains the index over the added keys, writes filter/index/meta blocks
+  /// and the footer, and syncs. After Finish the builder is exhausted.
+  Status Finish();
+
+  /// Abandons the file contents (caller removes the file).
+  void Abandon();
+
+  uint64_t NumEntries() const { return keys_.size(); }
+  /// Bytes of file data written so far (data region only until Finish).
+  uint64_t FileSize() const { return offset_; }
+
+ private:
+  explicit TableBuilder(const TableOptions& options);
+
+  TableOptions options_;
+  std::unique_ptr<WritableFile> file_;
+  Status status_;
+  std::vector<Key> keys_;
+  BloomFilterBuilder bloom_;
+  std::string entry_buf_;
+  uint64_t offset_ = 0;
+  bool finished_ = false;
+};
+
+/// Per-run state carried from PrepareMultiGet to FinishMultiGet: the keys
+/// that survived range/bloom screening, their search bounds, and the
+/// merged aligned byte spans backing them (each span either assembled from
+/// cache hits at Prepare time or registered as one ReadRequest).
+/// Destroying a pending object whose batch has not been waited is illegal
+/// (requests reference its buffers).
+class PendingMultiGet {
+ private:
+  friend class TableReader;
+
+  struct Span {
+    uint64_t byte_lo = 0;
+    uint64_t byte_hi = 0;
+    std::string buffer;            // byte_hi - byte_lo bytes
+    bool needs_read = false;       // a ReadRequest was registered
+    std::vector<bool> block_hit;   // cache probe result per io block
+    ReadRequest req;
+  };
+  struct KeyPlan {
+    int span = -1;  // -1: resolved at Prepare (out of range / bloom miss)
+    size_t lo = 0;
+    size_t hi = 0;  // inclusive entry bounds for the buffer search
+  };
+
+  std::vector<Key> keys_;
+  std::vector<KeyPlan> plans_;
+  std::vector<Span> spans_;
+  bool fill_cache_ = true;
 };
 
 class TableReader {
  public:
-  virtual ~TableReader() = default;
+  /// Opens `fname`, reading footer, meta, bloom and index blob into memory.
+  static Status Open(const TableOptions& options, const std::string& fname,
+                     std::unique_ptr<TableReader>* reader);
 
   /// Batched point lookup over ascending (not necessarily distinct) keys;
   /// the only synchronous read entry point — a point lookup is a one-key
-  /// call. For each keys[i]: on a hit sets founds[i]=true plus tags[i] and
+  /// call (the paper's bloom, predict, one aligned pread, search). For
+  /// each keys[i]: on a hit sets founds[i]=true plus tags[i] and
   /// values[i]; a bloom negative or absent key sets founds[i]=false with
   /// OK status. `bounds_lo`/`bounds_hi` (both null or both non-null, one
   /// inclusive entry range per key) carry the predictions of a
-  /// level-granularity model; formats without positional entries return
-  /// NotSupported for them. `stats` (when non-null) receives this call's
+  /// level-granularity model. `stats` (when non-null) receives this call's
   /// instrumentation instead of the table's configured sink — the DB
   /// threads ReadOptions::stats here. `fill_cache` = false serves from the
   /// block cache but does not populate it on a miss
-  /// (ReadOptions::fill_cache). The segmented format reuses the fetched I/O
-  /// block across a run of keys, consulting the bloom filter and learned
-  /// index only for keys the buffered block cannot answer.
-  virtual Status MultiGet(std::span<const Key> keys, const size_t* bounds_lo,
-                          const size_t* bounds_hi, std::string* values,
-                          uint64_t* tags, bool* founds, Stats* stats,
-                          bool fill_cache = true) = 0;
+  /// (ReadOptions::fill_cache). A key inside the key range of the
+  /// previously fetched block needs no bloom probe, no index descent, and
+  /// no disk read — the per-run amortization DB::MultiGet is built on.
+  Status MultiGet(std::span<const Key> keys, const size_t* bounds_lo,
+                  const size_t* bounds_hi, std::string* values,
+                  uint64_t* tags, bool* founds, Stats* stats,
+                  bool fill_cache = true);
 
-  /// Async MultiGet, phase 1: plans the same lookup MultiGet would run,
-  /// serves what the block cache can answer immediately, and registers one
-  /// ReadRequest per missing span with `batch` instead of reading. The
+  /// Async MultiGet, phase 1: plans every key (range check, bloom, model
+  /// bounds), decomposes the lookups into merged cache-aware byte spans,
+  /// serves all-hit spans from the block cache immediately, and registers
+  /// one ReadRequest per cold span with `batch` instead of reading. The
   /// caller Wait()s the batch (typically after preparing several runs so
   /// their device reads overlap), then calls FinishMultiGet. Semantics
   /// (keys ascending, optional level-model bounds, fill_cache) match
   /// MultiGet; results are bit-identical to the synchronous path.
-  virtual Status PrepareMultiGet(std::span<const Key> keys,
-                                 const size_t* bounds_lo,
-                                 const size_t* bounds_hi, ReadBatch* batch,
-                                 std::unique_ptr<PendingMultiGet>* pending,
-                                 Stats* stats, bool fill_cache = true) = 0;
+  Status PrepareMultiGet(std::span<const Key> keys, const size_t* bounds_lo,
+                         const size_t* bounds_hi, ReadBatch* batch,
+                         std::unique_ptr<PendingMultiGet>* pending,
+                         Stats* stats, bool fill_cache = true);
 
   /// Async MultiGet, phase 2 (after the batch's Wait): searches the
   /// fetched spans, fills values/tags/founds exactly like MultiGet, and
   /// inserts cold blocks into the block cache under the fill_cache given
   /// to PrepareMultiGet.
-  virtual Status FinishMultiGet(PendingMultiGet* pending, std::string* values,
-                                uint64_t* tags, bool* founds,
-                                Stats* stats) = 0;
+  Status FinishMultiGet(PendingMultiGet* pending, std::string* values,
+                        uint64_t* tags, bool* founds, Stats* stats);
 
   /// `fill_cache` = false keeps the iterator's block fetches from
   /// populating the block cache (scans and compaction inputs must not
@@ -141,67 +204,111 @@ class TableReader {
   /// `readahead_blocks` > 0 makes the iterator prefetch that many io
   /// blocks past its cursor through Env::NewReadBatch, so sequential
   /// scans overlap their device reads (0 = today's synchronous behavior).
-  virtual std::unique_ptr<TableIterator> NewIterator(
-      bool fill_cache = true, size_t readahead_blocks = 0) = 0;
+  std::unique_ptr<TableIterator> NewIterator(bool fill_cache = true,
+                                             size_t readahead_blocks = 0);
 
-  virtual uint64_t NumEntries() const = 0;
-  virtual Key MinKey() const = 0;
-  virtual Key MaxKey() const = 0;
+  uint64_t NumEntries() const { return count_; }
+  Key MinKey() const { return min_key_; }
+  Key MaxKey() const { return max_key_; }
 
   /// The in-memory index consulted by MultiGet/Seek.
-  virtual const LearnedIndex* index() const = 0;
+  const LearnedIndex* index() const { return index_.get(); }
 
   /// Retrains the in-memory index with a new type/config by scanning the
   /// data region (the on-disk blob is untouched). This is what lets the
   /// benchmark sweep (index type x boundary) without rewriting data files.
-  virtual Status RetrainIndex(IndexType type, const IndexConfig& config) = 0;
+  Status RetrainIndex(IndexType type, const IndexConfig& config);
 
   /// Bytes of memory held by the lookup index alone (the paper's
   /// "Memory (B)" axis), excluding bloom filters.
-  virtual size_t IndexMemoryUsage() const = 0;
+  size_t IndexMemoryUsage() const { return index_->MemoryUsage(); }
 
   /// Bytes of memory held by the bloom filter.
-  virtual size_t FilterMemoryUsage() const = 0;
+  size_t FilterMemoryUsage() const { return bloom_data_.capacity(); }
 
   /// Reads every user key into *keys in order (used by level-granularity
   /// model training).
-  virtual Status ReadAllKeys(std::vector<Key>* keys) = 0;
+  Status ReadAllKeys(std::vector<Key>* keys);
 
   /// Appends this table's trained leaf segments (positions local to the
   /// file) to *out with their training error bound in *epsilon — the
-  /// ModelCatalog's zero-I/O stitch input. False when the format keeps no
-  /// positional learned index (BlockTable) or the index type is not
-  /// segment-based; callers fall back to ReadAllKeys.
-  virtual bool ExportIndexSegments(std::vector<LinearSegment>* /*out*/,
-                                   uint32_t* /*epsilon*/) {
-    return false;
+  /// ModelCatalog's zero-I/O stitch input. False when the index type is
+  /// not segment-based; callers fall back to ReadAllKeys.
+  bool ExportIndexSegments(std::vector<LinearSegment>* out,
+                           uint32_t* epsilon);
+
+ private:
+  class Iterator;
+
+  explicit TableReader(const TableOptions& options) : options_(options) {}
+
+  /// Reads the entry range [lo, hi] (inclusive) with one pread aligned to
+  /// the I/O block size, clamped to the end of the data region (the last
+  /// segment of a table whose data section ends mid-block must not read
+  /// the trailing bloom/index/meta bytes as entries). With a block cache
+  /// configured, constituent I/O blocks are served from / inserted into it
+  /// (insertion gated by `fill_cache`). On success *base points at entry
+  /// `first` inside `scratch`.
+  Status ReadEntryRange(size_t lo, size_t hi, std::string* scratch,
+                        const char** base, size_t* first, size_t* last,
+                        Stats* stats = nullptr, bool fill_cache = true);
+
+  /// Entry-index lower bound via O(log n) single-entry probes; correctness
+  /// fallback for Seek() when the model range does not bracket an absent
+  /// target key.
+  Status FindLowerBound(Key target, size_t* pos);
+
+  Key EntryKeyInBuffer(const char* base, size_t first, size_t i) const {
+    return DecodeUserKey(base + (i - first) * entry_size_);
   }
+
+  Status ReadEntryKey(size_t pos, Key* key);
+  /// Bloom probe; false means the key is definitely absent. `stats` (may
+  /// be null) overrides options_.stats for this call.
+  bool MayContain(Key key, Stats* stats);
+  /// Serves the aligned byte range [byte_lo, byte_hi) into `dst` through
+  /// the block cache: all-hit spans copy out of the cache with zero Env
+  /// reads; otherwise one pread fetches the whole span (the same single
+  /// I/O the uncached path issues) and the missing blocks are inserted
+  /// when `fill_cache` is set.
+  Status FetchAlignedCached(uint64_t byte_lo, uint64_t byte_hi, char* dst,
+                            Stats* stats, bool fill_cache);
+  /// Cache probe of every io block of the aligned span [byte_lo, byte_hi),
+  /// shared by the sync and async paths. Hit blocks are copied into `dst`
+  /// and flagged in *block_hit. True (counting kBlockCacheHits) when every
+  /// block hit: the span is assembled with zero Env reads. Otherwise every
+  /// block counts as a kBlockCacheMiss — a partially warm span is refetched
+  /// whole, so hit% agrees with the Env-read savings instead of
+  /// overstating them.
+  bool ProbeCachedSpan(uint64_t byte_lo, uint64_t byte_hi, char* dst,
+                       std::vector<bool>* block_hit, Stats* stats);
+  /// After the span's read: inserts the blocks the probe missed from the
+  /// fetched bytes at `src`, counting kBlockCacheEvictions.
+  void CacheColdBlocks(uint64_t byte_lo, uint64_t byte_hi, const char* src,
+                       const std::vector<bool>& block_hit, Stats* stats);
+  /// Inclusive entry window [*lo, *hi] for keys[i]: the caller's
+  /// level-model bounds when given, else the file index's prediction
+  /// (timed as kIndexPredict); clamped to the entry array either way.
+  void EntryWindow(Key key, const size_t* bounds_lo, const size_t* bounds_hi,
+                   size_t i, Stats* stats, size_t* lo, size_t* hi) const;
+  /// Binary search entries [lo, hi] inside a fetched buffer (`base` points
+  /// at entry `first`) for the exact key; bloom hit/miss attribution is
+  /// the caller's.
+  bool SearchBuffer(const char* base, size_t first, size_t lo, size_t hi,
+                    Key key, std::string* value, uint64_t* tag) const;
+
+  TableOptions options_;
+  std::unique_ptr<RandomAccessFile> file_;
+  std::unique_ptr<LearnedIndex> index_;
+  std::string bloom_data_;
+  uint64_t count_ = 0;
+  Key min_key_ = 0;
+  Key max_key_ = 0;
+  uint32_t key_size_ = 0;
+  uint32_t value_size_ = 0;
+  uint32_t entry_size_ = 0;
+  uint64_t data_size_ = 0;  // count_ * entry_size_
 };
-
-class TableBuilder {
- public:
-  virtual ~TableBuilder() = default;
-
-  /// Adds an entry; keys must arrive strictly increasing.
-  virtual Status Add(Key key, uint64_t tag, const Slice& value) = 0;
-
-  /// Trains the index over the added keys, writes filter/index/meta blocks
-  /// and the footer, and syncs. After Finish the builder is exhausted.
-  virtual Status Finish() = 0;
-
-  /// Abandons the file contents (caller removes the file).
-  virtual void Abandon() = 0;
-
-  virtual uint64_t NumEntries() const = 0;
-  /// Bytes of file data written so far (data region only until Finish).
-  virtual uint64_t FileSize() const = 0;
-};
-
-/// Factory helpers dispatching on options.format.
-Status NewTableBuilder(const TableOptions& options, const std::string& fname,
-                       std::unique_ptr<TableBuilder>* builder);
-Status OpenTable(const TableOptions& options, const std::string& fname,
-                 std::unique_ptr<TableReader>* reader);
 
 }  // namespace lilsm
 

@@ -1,7 +1,7 @@
 // The shared block cache: a sharded, charged-capacity LRU cache of table
 // blocks keyed by (file_number, block_offset) — the LevelDB/RocksDB
-// block-cache shape, written for its one use. Both table formats consult
-// it before touching the Env (see DESIGN.md "The shared block cache").
+// block-cache shape, written for its one use. Table readers consult it
+// before touching the Env (see DESIGN.md "The shared block cache").
 //
 // Each cached block is ONE allocation: a fixed `Block` header (key and
 // its hash, hash-chain link, LRU links, size, capacity, refcount) followed

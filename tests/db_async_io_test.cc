@@ -1,8 +1,8 @@
 // Async batched I/O, DB level: MultiGet at io_depth > 1 and iterator
 // scans with readahead_blocks > 0 are bit-identical to the synchronous
-// paper path, across both table formats, cache on/off, and both index
-// granularities; default knobs keep the async machinery fully disengaged
-// (zero async/readahead counters, unchanged SimEnv read counts); and the
+// paper path, cache on/off, and both index granularities; default knobs
+// keep the async machinery fully disengaged (zero async/readahead
+// counters, unchanged SimEnv read counts); and the
 // SimEnv queue-depth model shows batched cold reads costing less modeled
 // latency than the sequential path. Runs under TSan in CI — MultiGet at
 // io_depth > 1 exercises the thread-pool ReadBatch backend.
@@ -24,16 +24,13 @@ using testing_util::ScratchDir;
 
 constexpr uint32_t kValueSize = 56;
 
-DBOptions SmallOptions(int io_depth,
-                       TableFormat format = TableFormat::kSegmented,
-                       size_t block_cache_bytes = 0) {
+DBOptions SmallOptions(int io_depth, size_t block_cache_bytes = 0) {
   DBOptions options;
   options.write_buffer_size = 64 << 10;
   options.sstable_target_size = 32 << 10;
   options.l0_compaction_trigger = 2;
   options.key_size = 24;
-  options.value_size = format == TableFormat::kSegmented ? kValueSize : 0;
-  options.table_format = format;
+  options.value_size = kValueSize;
   options.block_cache_bytes = block_cache_bytes;
   options.io_depth = io_depth;
   return options;
@@ -87,21 +84,19 @@ void ExpectMultiGetEquivalent(DB* sync_db, DB* async_db,
   }
 }
 
-class DbAsyncIoTest : public ::testing::TestWithParam<TableFormat> {};
-
 // The core contract: MultiGet at io_depth=8 answers bit-identically to
 // io_depth=1 over identical trees, cache off and on, and the async DB
 // actually takes the batched path (kAsyncBatches advances).
-TEST_P(DbAsyncIoTest, AsyncMultiGetMatchesSyncBitExact) {
+TEST(DbAsyncIoTest, AsyncMultiGetMatchesSyncBitExact) {
   ScratchDir dir("dbasync_equiv");
   const std::vector<Key> keys = RandomGapKeys(5000, 7);
   for (size_t cache_bytes : {size_t{0}, size_t{512 << 10}}) {
     const std::string tag =
         cache_bytes == 0 ? "/cold" : "/cached";
     std::unique_ptr<DB> sync_db, async_db;
-    ASSERT_LILSM_OK(DB::Open(SmallOptions(1, GetParam(), cache_bytes),
+    ASSERT_LILSM_OK(DB::Open(SmallOptions(1, cache_bytes),
                              dir.path() + tag + "_sync", &sync_db));
-    ASSERT_LILSM_OK(DB::Open(SmallOptions(8, GetParam(), cache_bytes),
+    ASSERT_LILSM_OK(DB::Open(SmallOptions(8, cache_bytes),
                              dir.path() + tag + "_async", &async_db));
     LoadAndCompact(sync_db.get(), keys);
     LoadAndCompact(async_db.get(), keys);
@@ -120,13 +115,13 @@ TEST_P(DbAsyncIoTest, AsyncMultiGetMatchesSyncBitExact) {
 // Full-scan and range-lookup equivalence: readahead on and off return the
 // identical entry sequence, cache off and on, with prefetches actually
 // landing (kReadaheadHits advances on the readahead pass).
-TEST_P(DbAsyncIoTest, IteratorReadaheadMatchesSyncScan) {
+TEST(DbAsyncIoTest, IteratorReadaheadMatchesSyncScan) {
   ScratchDir dir("dbasync_scan");
   const std::vector<Key> keys = RandomGapKeys(5000, 5);
   for (size_t cache_bytes : {size_t{0}, size_t{512 << 10}}) {
     std::unique_ptr<DB> db;
     ASSERT_LILSM_OK(DB::Open(
-        SmallOptions(1, GetParam(), cache_bytes),
+        SmallOptions(1, cache_bytes),
         dir.path() + (cache_bytes == 0 ? "/cold" : "/cached"), &db));
     LoadAndCompact(db.get(), keys);
 
@@ -157,10 +152,6 @@ TEST_P(DbAsyncIoTest, IteratorReadaheadMatchesSyncScan) {
     EXPECT_EQ(range_plain, range_ahead);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Formats, DbAsyncIoTest,
-                         ::testing::Values(TableFormat::kSegmented,
-                                           TableFormat::kBlocked));
 
 // Level-granularity lookups (the paper's LevelModel axis) route through
 // the same async branch with model-predicted bounds; results must stay

@@ -24,15 +24,13 @@ using testing_util::ScratchDir;
 
 constexpr uint32_t kValueSize = 56;
 
-DBOptions SmallOptions(size_t block_cache_bytes,
-                       TableFormat format = TableFormat::kSegmented) {
+DBOptions SmallOptions(size_t block_cache_bytes) {
   DBOptions options;
   options.write_buffer_size = 64 << 10;
   options.sstable_target_size = 32 << 10;
   options.l0_compaction_trigger = 2;
   options.key_size = 24;
-  options.value_size = format == TableFormat::kSegmented ? kValueSize : 0;
-  options.table_format = format;
+  options.value_size = kValueSize;
   options.block_cache_bytes = block_cache_bytes;
   return options;
 }
@@ -108,18 +106,16 @@ void ExpectMatchesModel(DB* db, const std::map<Key, std::string>& model,
   EXPECT_EQ(expected, model.end());
 }
 
-class DbBlockCacheTest : public ::testing::TestWithParam<TableFormat> {};
-
 // The core bit-equivalence contract: a cached DB and an uncached DB fed
 // the identical randomized churn history answer Get, MultiGet, and full
 // scans identically (both also checked against an in-memory model).
-TEST_P(DbBlockCacheTest, CachedMatchesUncachedUnderChurn) {
+TEST(DbBlockCacheTest, CachedMatchesUncachedUnderChurn) {
   ScratchDir dir("dbcache_equiv");
   std::unique_ptr<DB> cached, uncached;
-  ASSERT_LILSM_OK(DB::Open(SmallOptions(512 << 10, GetParam()),
-                           dir.path() + "/cached", &cached));
-  ASSERT_LILSM_OK(DB::Open(SmallOptions(0, GetParam()),
-                           dir.path() + "/uncached", &uncached));
+  ASSERT_LILSM_OK(
+      DB::Open(SmallOptions(512 << 10), dir.path() + "/cached", &cached));
+  ASSERT_LILSM_OK(
+      DB::Open(SmallOptions(0), dir.path() + "/uncached", &uncached));
 
   const std::vector<Key> keys = RandomGapKeys(4000, 7);
   std::map<Key, std::string> model_c, model_u;
@@ -141,10 +137,6 @@ TEST_P(DbBlockCacheTest, CachedMatchesUncachedUnderChurn) {
   EXPECT_EQ(uncached->stats()->Count(Counter::kBlockCacheMisses), 0u);
   EXPECT_EQ(uncached->BlockCacheMemory(), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Formats, DbBlockCacheTest,
-                         ::testing::Values(TableFormat::kSegmented,
-                                           TableFormat::kBlocked));
 
 // A cache far smaller than the working set must evict (not grow past its
 // budget) while every lookup stays correct.

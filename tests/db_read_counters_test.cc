@@ -33,7 +33,6 @@ constexpr std::array<const char*, kNumCounts> kCountNames = {
 /// lookup sequence records.
 struct ReadPin {
   const char* name;
-  TableFormat format;
   IndexGranularity granularity;
   int io_depth;
   std::array<uint64_t, kNumCounts> counts;
@@ -109,9 +108,7 @@ TEST_P(DbReadCountersTest, LookupSequenceMatchesPinnedCounts) {
   options.write_buffer_size = 64 << 10;
   options.sstable_target_size = 32 << 10;
   options.l0_compaction_trigger = 2;
-  options.value_size =
-      pin.format == TableFormat::kSegmented ? kValueSize : 0;
-  options.table_format = pin.format;
+  options.value_size = kValueSize;
   options.index_granularity = pin.granularity;
   options.io_depth = pin.io_depth;
   std::unique_ptr<DB> db;
@@ -151,24 +148,14 @@ TEST_P(DbReadCountersTest, LookupSequenceMatchesPinnedCounts) {
 INSTANTIATE_TEST_SUITE_P(
     Pinned, DbReadCountersTest,
     ::testing::Values(
-        ReadPin{"segmented_file", TableFormat::kSegmented,
-                IndexGranularity::kFile, 1,
+        ReadPin{"segmented_file", IndexGranularity::kFile, 1,
                 {924, 8350096, 924, 2387, 1595, 906, 18, 924, 924, 0, 0}},
-        ReadPin{"segmented_level", TableFormat::kSegmented,
-                IndexGranularity::kLevel, 1,
+        ReadPin{"segmented_level", IndexGranularity::kLevel, 1,
                 {924, 8431176, 924, 2387, 1595, 906, 18, 155, 924, 0, 0}},
-        ReadPin{"segmented_file_async", TableFormat::kSegmented,
-                IndexGranularity::kFile, 8,
+        ReadPin{"segmented_file_async", IndexGranularity::kFile, 8,
                 {867, 8117016, 867, 2387, 1787, 1343, 18, 1361, 858, 9, 1}},
-        ReadPin{"segmented_level_async", TableFormat::kSegmented,
-                IndexGranularity::kLevel, 8,
-                {867, 8165272, 867, 2387, 1787, 1343, 18, 155, 858, 9, 1}},
-        ReadPin{"block_file", TableFormat::kBlocked,
-                IndexGranularity::kFile, 1,
-                {1447, 6012445, 0, 2387, 2431, 1429, 18, 1447, 1447, 0, 0}},
-        ReadPin{"block_file_async", TableFormat::kBlocked,
-                IndexGranularity::kFile, 8,
-                {1006, 4162534, 0, 2387, 2431, 1429, 18, 1447, 944, 62, 1}}),
+        ReadPin{"segmented_level_async", IndexGranularity::kLevel, 8,
+                {867, 8165272, 867, 2387, 1787, 1343, 18, 155, 858, 9, 1}}),
     [](const ::testing::TestParamInfo<ReadPin>& info) {
       return std::string(info.param.name);
     });

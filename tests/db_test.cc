@@ -508,8 +508,8 @@ TEST(DbOptionsValidateTest, RejectsEachInvalidConfiguration) {
 
   {
     DBOptions o = SmallDbOptions();
-    o.value_size = 0;  // segmented format: fixed geometry needs a size
-    expect_rejected(o, "value_size == 0 under kSegmented");
+    o.value_size = 0;  // fixed-size entries need a size
+    expect_rejected(o, "value_size == 0");
   }
   {
     DBOptions o = SmallDbOptions();
@@ -548,28 +548,9 @@ TEST(DbOptionsValidateTest, RejectsEachInvalidConfiguration) {
   }
   {
     DBOptions o = SmallDbOptions();
-    o.key_size = 65;  // past the table formats' 64-byte key buffers
+    o.key_size = 65;  // past the table reader's 64-byte key buffer
     expect_rejected(o, "key_size > 64");
   }
-}
-
-TEST(DbOptionsValidateTest, BlockedFormatAllowsVariableValueSize) {
-  // value_size is a segmented-geometry constraint; the classic block
-  // format stores variable-length values and must open with 0.
-  ScratchDir dir("dbvalidate_blocked");
-  DBOptions options = SmallDbOptions();
-  options.table_format = TableFormat::kBlocked;
-  options.value_size = 0;
-  std::unique_ptr<DB> db;
-  ASSERT_LILSM_OK(DB::Open(options, dir.path() + "/db", &db));
-  ASSERT_LILSM_OK(db->Put(1, "short"));
-  ASSERT_LILSM_OK(db->Put(2, std::string(300, 'x')));
-  ASSERT_LILSM_OK(db->FlushMemTable());
-  std::string value;
-  ASSERT_LILSM_OK(db->Get(1, &value));
-  EXPECT_EQ(value, "short");
-  ASSERT_LILSM_OK(db->Get(2, &value));
-  EXPECT_EQ(value, std::string(300, 'x'));
 }
 
 /// MultiGet equivalence harness shared by the granularity variants:
@@ -856,34 +837,6 @@ TEST_F(DbTest, ConstObserverSeesIntrospectionSurface) {
   EXPECT_GT(ObserveConstSurface(observer), 0u);
   EXPECT_EQ(observer.LastSequence(), 1000u);
   EXPECT_GT(observer.NumFilesAtLevel(0) + observer.NumFilesAtLevel(1), 0);
-}
-
-TEST(DbBlockedFormatTest, ClassicFormatCrossCheck) {
-  // The block-based (classic LevelDB) substrate must agree with the
-  // segmented format on the same workload.
-  ScratchDir dir("dbblocked");
-  DBOptions options = SmallDbOptions();
-  options.table_format = TableFormat::kBlocked;
-  std::unique_ptr<DB> db;
-  ASSERT_LILSM_OK(DB::Open(options, dir.path() + "/db", &db));
-
-  std::map<Key, std::string> model;
-  std::vector<Key> keys = RandomGapKeys(3000, 101);
-  for (Key key : keys) {
-    const std::string value = ValueFor(key, 0);
-    ASSERT_LILSM_OK(db->Put(key, value));
-    model[key] = value;
-  }
-  ASSERT_LILSM_OK(db->FlushMemTable());
-  std::string value;
-  for (const auto& [key, expected] : model) {
-    ASSERT_LILSM_OK(db->Get(key, &value));
-    ASSERT_EQ(value, expected);
-  }
-  auto iter = db->NewIterator();
-  size_t n = 0;
-  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) n++;
-  EXPECT_EQ(n, model.size());
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 
 #include "lsm/db.h"
 #include "lsm/dbformat.h"
-#include "table/segmented_table.h"
+#include "table/table.h"
 #include "tests/test_util.h"
 #include "workload/dataset.h"
 
@@ -38,7 +38,7 @@ class ModelCatalogTest : public ::testing::Test {
   FileMeta BuildFile(size_t begin, size_t end) {
     const uint64_t number = next_file_number_++;
     std::unique_ptr<TableBuilder> builder;
-    EXPECT_LILSM_OK(NewTableBuilder(
+    EXPECT_LILSM_OK(TableBuilder::Open(
         options_, TableFileName(dir_->path(), number), &builder));
     for (size_t i = begin; i < end; i++) {
       EXPECT_LILSM_OK(builder->Add(keys_[i], PackTag(i + 1, kTypeValue),

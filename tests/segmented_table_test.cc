@@ -1,6 +1,6 @@
-// SegmentedTable (LearnedIndexTable) round-trip, lookup, iterator-seek,
+// Table (the paper's LearnedIndexTable) round-trip, lookup, iterator-seek,
 // retraining and corruption tests, across every index type.
-#include "table/segmented_table.h"
+#include "table/table.h"
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,8 @@
 
 #include "tests/test_util.h"
 #include "lsm/dbformat.h"
+#include "util/coding.h"
+#include "util/crc32c.h"
 #include "util/sim_env.h"
 #include "workload/dataset.h"
 
@@ -33,7 +35,7 @@ TableOptions MakeOptions(IndexType type, uint32_t boundary) {
 Status BuildTable(const TableOptions& options, const std::string& fname,
                   const std::vector<Key>& keys) {
   std::unique_ptr<TableBuilder> builder;
-  Status s = NewTableBuilder(options, fname, &builder);
+  Status s = TableBuilder::Open(options, fname, &builder);
   if (!s.ok()) return s;
   for (size_t i = 0; i < keys.size(); i++) {
     s = builder->Add(keys[i], PackTag(i + 1, kTypeValue),
@@ -51,7 +53,7 @@ class SegmentedTableTest : public ::testing::TestWithParam<IndexType> {
     keys_ = RandomGapKeys(20000, 77, /*max_gap=*/5000);
     fname_ = dir_->file("000001.lst");
     ASSERT_LILSM_OK(BuildTable(options_, fname_, keys_));
-    ASSERT_LILSM_OK(OpenTable(options_, fname_, &reader_));
+    ASSERT_LILSM_OK(TableReader::Open(options_, fname_, &reader_));
   }
 
   std::unique_ptr<ScratchDir> dir_;
@@ -215,20 +217,20 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- format-level failure behaviour ----
 
-TEST(SegmentedTableFormatTest, RejectsWrongValueSize) {
+TEST(SegmentedTableFileTest, RejectsWrongValueSize) {
   ScratchDir dir("segfmt");
   TableOptions options = MakeOptions(IndexType::kPGM, 32);
   std::unique_ptr<TableBuilder> builder;
-  ASSERT_LILSM_OK(NewTableBuilder(options, dir.file("t.lst"), &builder));
+  ASSERT_LILSM_OK(TableBuilder::Open(options, dir.file("t.lst"), &builder));
   EXPECT_TRUE(builder->Add(1, PackTag(1, kTypeValue), Slice("short"))
                   .IsInvalidArgument());
 }
 
-TEST(SegmentedTableFormatTest, RejectsNonIncreasingKeys) {
+TEST(SegmentedTableFileTest, RejectsNonIncreasingKeys) {
   ScratchDir dir("segfmt");
   TableOptions options = MakeOptions(IndexType::kPGM, 32);
   std::unique_ptr<TableBuilder> builder;
-  ASSERT_LILSM_OK(NewTableBuilder(options, dir.file("t.lst"), &builder));
+  ASSERT_LILSM_OK(TableBuilder::Open(options, dir.file("t.lst"), &builder));
   std::string value(kValueSize, 'x');
   ASSERT_LILSM_OK(builder->Add(10, PackTag(1, kTypeValue), value));
   EXPECT_TRUE(
@@ -237,7 +239,7 @@ TEST(SegmentedTableFormatTest, RejectsNonIncreasingKeys) {
       builder->Add(5, PackTag(3, kTypeValue), value).IsInvalidArgument());
 }
 
-TEST(SegmentedTableFormatTest, DetectsCorruptFooterMagic) {
+TEST(SegmentedTableFileTest, DetectsCorruptFooterMagic) {
   ScratchDir dir("segfmt");
   TableOptions options = MakeOptions(IndexType::kPGM, 32);
   const std::string fname = dir.file("t.lst");
@@ -249,10 +251,10 @@ TEST(SegmentedTableFormatTest, DetectsCorruptFooterMagic) {
   ASSERT_LILSM_OK(WriteStringToFile(Env::Default(), contents, fname));
 
   std::unique_ptr<TableReader> reader;
-  EXPECT_TRUE(OpenTable(options, fname, &reader).IsCorruption());
+  EXPECT_TRUE(TableReader::Open(options, fname, &reader).IsCorruption());
 }
 
-TEST(SegmentedTableFormatTest, DetectsCorruptTrailerBlocks) {
+TEST(SegmentedTableFileTest, DetectsCorruptTrailerBlocks) {
   ScratchDir dir("segfmt");
   TableOptions options = MakeOptions(IndexType::kPGM, 32);
   const std::string fname = dir.file("t.lst");
@@ -268,17 +270,95 @@ TEST(SegmentedTableFormatTest, DetectsCorruptTrailerBlocks) {
   ASSERT_LILSM_OK(WriteStringToFile(Env::Default(), contents, fname));
 
   std::unique_ptr<TableReader> reader;
-  EXPECT_TRUE(OpenTable(options, fname, &reader).IsCorruption());
+  EXPECT_TRUE(TableReader::Open(options, fname, &reader).IsCorruption());
 }
 
-TEST(SegmentedTableFormatTest, EmptyFileFailsCleanly) {
+TEST(SegmentedTableFileTest, EmptyFileFailsCleanly) {
   ScratchDir dir("segfmt");
   const std::string fname = dir.file("t.lst");
   ASSERT_LILSM_OK(WriteStringToFile(Env::Default(), Slice(), fname));
   std::unique_ptr<TableReader> reader;
   EXPECT_TRUE(
-      OpenTable(MakeOptions(IndexType::kPGM, 32), fname, &reader)
+      TableReader::Open(MakeOptions(IndexType::kPGM, 32), fname, &reader)
           .IsCorruption());
+}
+
+/// Meta block fields, in encoding order after the format version.
+struct MetaFields {
+  uint32_t version = 0;
+  uint32_t key_size = 0;
+  uint32_t value_size = 0;
+  uint64_t count = 0;
+  uint64_t min_key = 0;
+  uint64_t max_key = 0;
+};
+
+/// Rewrites the meta block of table `fname` in place with `mutate`
+/// applied and a freshly computed valid crc, so only structural
+/// validation can tell the geometry lies. The encoded size must not
+/// change (the footer's handles stay as written).
+void RewriteMeta(const std::string& fname, void (*mutate)(MetaFields*)) {
+  std::string contents;
+  ASSERT_LILSM_OK(ReadFileToString(Env::Default(), fname, &contents));
+  ASSERT_GE(contents.size(), Footer::kEncodedLength);
+  Footer footer;
+  Slice tail(contents.data() + contents.size() - Footer::kEncodedLength,
+             Footer::kEncodedLength);
+  ASSERT_LILSM_OK(footer.DecodeFrom(&tail));
+  const BlockHandle meta = footer.meta_handle;
+  Slice input(contents.data() + meta.offset, meta.size - 4);
+  MetaFields m;
+  ASSERT_TRUE(GetVarint32(&input, &m.version) &&
+              GetVarint32(&input, &m.key_size) &&
+              GetVarint32(&input, &m.value_size) &&
+              GetVarint64(&input, &m.count) &&
+              GetFixed64(&input, &m.min_key) &&
+              GetFixed64(&input, &m.max_key));
+  mutate(&m);
+  std::string block;
+  PutVarint32(&block, m.version);
+  PutVarint32(&block, m.key_size);
+  PutVarint32(&block, m.value_size);
+  PutVarint64(&block, m.count);
+  PutFixed64(&block, m.min_key);
+  PutFixed64(&block, m.max_key);
+  ASSERT_EQ(block.size() + 4, meta.size);
+  PutFixed32(&block, crc32c::Mask(crc32c::Value(block.data(), block.size())));
+  contents.replace(meta.offset, meta.size, block);
+  ASSERT_LILSM_OK(WriteStringToFile(Env::Default(), contents, fname));
+}
+
+TEST(SegmentedTableFileTest, RejectsMetaGeometryThatDisagreesWithFile) {
+  ScratchDir dir("segfmt");
+  const TableOptions options = MakeOptions(IndexType::kPGM, 32);
+  const std::vector<Key> keys = RandomGapKeys(2000, 13);
+  std::unique_ptr<TableReader> reader;
+
+  // The rewrite itself keeps a faithful meta block readable.
+  const std::string intact = dir.file("intact.lst");
+  ASSERT_LILSM_OK(BuildTable(options, intact, keys));
+  RewriteMeta(intact, [](MetaFields*) {});
+  ASSERT_LILSM_OK(TableReader::Open(options, intact, &reader));
+  EXPECT_EQ(reader->NumEntries(), keys.size());
+
+  // A key wider than the reader's single-key probe buffer: Seek's
+  // fallback search would read it onto the stack.
+  const std::string wide = dir.file("wide.lst");
+  ASSERT_LILSM_OK(BuildTable(options, wide, keys));
+  RewriteMeta(wide, [](MetaFields* m) { m->key_size = 100; });
+  EXPECT_TRUE(TableReader::Open(options, wide, &reader).IsCorruption());
+
+  // One entry more than the data region holds.
+  const std::string extra = dir.file("extra.lst");
+  ASSERT_LILSM_OK(BuildTable(options, extra, keys));
+  RewriteMeta(extra, [](MetaFields* m) { m->count++; });
+  EXPECT_TRUE(TableReader::Open(options, extra, &reader).IsCorruption());
+
+  // An entry geometry that does not tile the data region.
+  const std::string skewed = dir.file("skewed.lst");
+  ASSERT_LILSM_OK(BuildTable(options, skewed, keys));
+  RewriteMeta(skewed, [](MetaFields* m) { m->value_size++; });
+  EXPECT_TRUE(TableReader::Open(options, skewed, &reader).IsCorruption());
 }
 
 TEST(SegmentedTableIoTest, PointLookupCostsOneAlignedRead) {
@@ -294,7 +374,7 @@ TEST(SegmentedTableIoTest, PointLookupCostsOneAlignedRead) {
   std::vector<Key> keys = RandomGapKeys(20000, 12);
   ASSERT_LILSM_OK(BuildTable(options, fname, keys));
   std::unique_ptr<TableReader> reader;
-  ASSERT_LILSM_OK(OpenTable(options, fname, &reader));
+  ASSERT_LILSM_OK(TableReader::Open(options, fname, &reader));
 
   sim.io_stats()->Reset();
   std::string value;
@@ -409,7 +489,7 @@ TEST(SegmentedTableBoundaryTest, LastSegmentClampsToDataEnd) {
   StrictBoundsEnv strict(Env::Default());
   options.env = &strict;
   std::unique_ptr<TableReader> reader;
-  ASSERT_LILSM_OK(OpenTable(options, fname, &reader));
+  ASSERT_LILSM_OK(TableReader::Open(options, fname, &reader));
 
   // Point lookups across the whole table, hammering the tail.
   std::string value;
@@ -468,7 +548,7 @@ TEST(SegmentedTableBoundaryTest, LastSegmentCachedMatchesDirect) {
   options.block_cache = std::make_shared<BlockCache>(1 << 20);
   options.cache_file_number = 1;
   std::unique_ptr<TableReader> reader;
-  ASSERT_LILSM_OK(OpenTable(options, fname, &reader));
+  ASSERT_LILSM_OK(TableReader::Open(options, fname, &reader));
 
   std::string value;
   uint64_t tag = 0;

@@ -25,6 +25,7 @@
 #include "tests/test_util.h"
 #include "util/coding.h"
 #include "util/env.h"
+#include "workload/dataset.h"
 
 namespace lilsm {
 namespace {
@@ -223,28 +224,31 @@ TEST_F(ServerTest, WrongSizeValueIsRejectedPerRequest) {
 }
 
 TEST_F(ServerTest, LargeMultiGetBatchOneFrameEachWay) {
-  // Variable-length values need the block table format: the segmented
-  // format admits only value_size-byte values.
+  // 512 values of 8 KiB make a ~4 MiB response frame, which spans many
+  // socket buffers and so exercises the partial-write path in the event
+  // loop.
+  constexpr uint32_t kBigValue = 8 << 10;
+  constexpr Key kKeys = 512;
   DBOptions db_options = ServerDbOptions();
-  db_options.table_format = TableFormat::kBlocked;
-  db_options.value_size = 0;
+  db_options.value_size = kBigValue;
   StartServer(ServerOptions(), db_options);
   std::unique_ptr<Client> client = MustConnect();
-  // Values large enough that the response spans many socket buffers,
-  // exercising the partial-write path in the event loop.
-  const std::string big(8 << 10, 'v');
   std::vector<Key> keys;
-  for (Key k = 0; k < 512; k++) {
-    ASSERT_LILSM_OK(client->Put(k, Slice(big.data(), (k % 64) + 1)));
+  for (Key k = 0; k < kKeys; k++) {
+    ASSERT_LILSM_OK(client->Put(k, DeriveValue(k, kBigValue)));
     keys.push_back(k);
   }
   std::vector<std::string> values;
   std::vector<Status> statuses;
   ASSERT_LILSM_OK(client->MultiGet(keys, &values, &statuses));
-  for (Key k = 0; k < 512; k++) {
+  ASSERT_EQ(values.size(), keys.size());
+  size_t response_bytes = 0;
+  for (Key k = 0; k < kKeys; k++) {
     ASSERT_LILSM_OK(statuses[k]);
-    ASSERT_EQ(values[k].size(), (k % 64) + 1) << "key " << k;
+    ASSERT_EQ(values[k], DeriveValue(k, kBigValue)) << "key " << k;
+    response_bytes += values[k].size();
   }
+  EXPECT_GE(response_bytes, size_t{1} << 20);
 }
 
 TEST_F(ServerTest, SnapshotPinsAPointInTimeView) {

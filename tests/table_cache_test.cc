@@ -26,7 +26,7 @@ class TableCacheTest : public ::testing::Test {
     options_.value_size = 16;
     for (uint64_t number = 1; number <= 6; number++) {
       std::unique_ptr<TableBuilder> builder;
-      ASSERT_LILSM_OK(NewTableBuilder(
+      ASSERT_LILSM_OK(TableBuilder::Open(
           options_, TableFileName(dir_->path(), number), &builder));
       std::vector<Key> keys = RandomGapKeys(100, number);
       for (size_t i = 0; i < keys.size(); i++) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "tests/test_util.h"
 #include "util/random.h"
 
@@ -80,6 +83,27 @@ TEST(ChecksummedBlockTest, WriteReadVerify) {
                   .IsCorruption());
 }
 
+/// Serves reads from an in-memory copy of a file, so a test can corrupt
+/// bytes without rewriting the file for every variant.
+class StringFile final : public RandomAccessFile {
+ public:
+  explicit StringFile(std::string contents) : contents_(std::move(contents)) {}
+
+  Status Read(uint64_t offset, size_t n, Slice* result,
+              char* scratch) const override {
+    if (offset > contents_.size()) {
+      *result = Slice();
+      return Status::OK();
+    }
+    n = std::min<size_t>(n, contents_.size() - offset);
+    std::memcpy(scratch, contents_.data() + offset, n);
+    *result = Slice(scratch, n);
+    return Status::OK();
+  }
+
+  std::string contents_;
+};
+
 TEST(ChecksummedBlockTest, EveryFlippedBitFailsVerify) {
   ScratchDir dir("fmt");
   const std::string fname = dir.file("blk");
@@ -95,15 +119,16 @@ TEST(ChecksummedBlockTest, EveryFlippedBitFailsVerify) {
   ASSERT_LILSM_OK(ReadFileToString(Env::Default(), fname, &raw));
   ASSERT_EQ(raw.size(), handle.size);
 
+  StringFile image(raw);
   std::string contents;
-  ASSERT_LILSM_OK(VerifyChecksummedBlock(raw.data(), raw.size(), &contents));
+  ASSERT_LILSM_OK(ReadChecksummedBlock(&image, handle, &contents));
   EXPECT_EQ(contents, payload);
   // A flip in the payload or in the crc trailer must be caught.
   for (size_t bit = 0; bit < raw.size() * 8; bit++) {
-    std::string bad = raw;
-    bad[bit / 8] = static_cast<char>(bad[bit / 8] ^ (1 << (bit % 8)));
-    EXPECT_TRUE(VerifyChecksummedBlock(bad.data(), bad.size(), &contents)
-                    .IsCorruption())
+    image.contents_ = raw;
+    char& byte = image.contents_[bit / 8];
+    byte = static_cast<char>(byte ^ (1 << (bit % 8)));
+    EXPECT_TRUE(ReadChecksummedBlock(&image, handle, &contents).IsCorruption())
         << "flipped bit " << bit;
   }
 }
