@@ -36,7 +36,11 @@ Status RunDistribution(Testbed* bed, const ExperimentDefaults& d,
                     whole > 0 ? static_cast<double>(part) / whole : 0.0);
       return std::string(buf);
     };
-    table.AddRow({"L" + std::to_string(level),
+    // Appended, not "L" + std::to_string(...): gcc 12's -Wrestrict
+    // misfires on that operator+ in optimized builds.
+    std::string name = "L";
+    name += std::to_string(level);
+    table.AddRow({name,
                   pct(metrics.stats.LevelReadNanos(level), total_read_ns),
                   pct(bed->db()->LevelIndexMemory(level), total_index),
                   pct(bed->db()->EntriesAtLevel(level), total_entries),

@@ -22,8 +22,8 @@
 // ops table. Compare e.g.:
 //   fig13_concurrent_ycsb --workload=writeheavy --writers=1
 //   fig13_concurrent_ycsb --workload=writeheavy --writers=4
-// Knobs: --group-commit=0|1 (default on here), --bg-jobs=N and
-// --subcompactions=N (default 2 each here, 1 in YCSB mode).
+// Knobs: --bg-jobs=N and --subcompactions=N (default 2 each here, 1 in
+// YCSB mode).
 //
 // Server mode (PR 8): --server --clients=N runs the same zipfian read
 // workload through the service layer instead of in-process calls — a
@@ -351,7 +351,6 @@ int main(int argc, char** argv) {
   // unknown flags); the rest pass through.
   std::string workload_mode;
   size_t writers = 4;
-  size_t group_commit = 1;
   size_t bg_jobs = 2;
   size_t subcompactions = 2;
   bool server_mode = false;
@@ -382,9 +381,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       writers = value;
-    } else if (bench::ParseSizeFlag(argc, argv, &i, "--group-commit",
-                                    &value)) {
-      group_commit = value;
     } else if (bench::ParseSizeFlag(argc, argv, &i, "--bg-jobs", &value)) {
       if (value == 0) {
         std::fprintf(stderr, "--bg-jobs must be positive\n");
@@ -403,8 +399,7 @@ int main(int argc, char** argv) {
           std::strcmp(argv[i], "-h") == 0) {
         std::printf(
             "fig13 extras: [--workload ycsb|writeheavy] [--writers N] "
-            "[--group-commit 0|1] [--bg-jobs N] [--subcompactions N] "
-            "[--server] [--clients N]\n");
+            "[--bg-jobs N] [--subcompactions N] [--server] [--clients N]\n");
       }
       passthrough.push_back(argv[i]);
     }
@@ -438,7 +433,6 @@ int main(int argc, char** argv) {
     DBOptions options;
     options.env = &sim_env;
     options.concurrency = ConcurrencyMode::kBackground;
-    options.group_commit = true;
     options.write_buffer_size = d.write_buffer_size;
     options.sstable_target_size = d.sstable_target_size;
     options.size_ratio = d.size_ratio;
@@ -472,15 +466,14 @@ int main(int argc, char** argv) {
     }
     SimEnv sim_env(Env::Default(), sim_options);
     std::printf(
-        "# writers=%zu, group_commit=%s, bg_jobs=%zu, subcompactions=%zu, "
-        "fsync model %.0f us\n\n",
-        writers, group_commit != 0 ? "on" : "off", bg_jobs, subcompactions,
+        "# writers=%zu, bg_jobs=%zu, subcompactions=%zu, fsync model %.0f "
+        "us\n\n",
+        writers, bg_jobs, subcompactions,
         sim_options.sync_latency_ns / 1000.0);
 
     DBOptions options;
     options.env = &sim_env;
     options.concurrency = ConcurrencyMode::kBackground;
-    options.group_commit = group_commit != 0;
     options.max_background_jobs = static_cast<int>(bg_jobs);
     options.max_subcompactions = static_cast<int>(subcompactions);
     options.write_buffer_size = d.write_buffer_size;

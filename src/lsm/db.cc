@@ -44,26 +44,27 @@ class ErrorIterator final : public Iterator {
 // DBImpl locking discipline (the LevelDB arrangement, see DESIGN.md):
 //
 //  * mutex_ guards all mutable engine state: the memtable pointers, the
-//    WAL writer, the VersionSet, and the background-work flags. Writers
-//    hold it across WAL append + memtable insert, so log order matches
-//    sequence order.
+//    WAL writer, the VersionSet, the writer queue, and the job claims.
 //  * Readers take mutex_ only long enough to pin (ref) the memtables and
 //    current version, then search without it — pinned state is immutable.
-//  * Up to max_background_jobs background closures run at once (bg_jobs_
-//    counts them; 1 reproduces the single-worker engine). Each drops
-//    mutex_ for the heavy lifting (table builds, merges) and retakes it
-//    to install results, waking waiters through bg_cv_. Concurrent jobs
-//    claim disjoint work under the mutex: at most one flush
-//    (bg_flush_active_) plus compactions at disjoint level pairs
-//    (level_busy_ marks [L, L+1] occupied).
-//  * Under DBOptions::group_commit, being at the FRONT of writers_ is the
-//    exclusive-writer token: the queue leader appends to the WAL and
-//    inserts into mem_ with mutex_ released. Non-Write paths that switch
-//    the memtable or roll the WAL first park a batchless barrier Writer
-//    at the queue front. See DESIGN.md "Write path & concurrency".
-//
-// ConcurrencyMode::kInline never schedules anything: maintenance runs on
-// the calling thread under mutex_, byte-for-byte the old inline engine.
+//  * Being at the FRONT of writers_ is the exclusive-writer token: every
+//    Write queues there, and the queue leader appends to the WAL and
+//    inserts into mem_ with mutex_ released (a group of one is the serial
+//    write); one leader at a time keeps log order equal to sequence
+//    order. Non-Write paths that switch the memtable or roll the WAL
+//    first park a batchless barrier Writer at the queue front. See
+//    DESIGN.md "Write path & concurrency".
+//  * Flushes and compactions are jobs, claimed under mutex_ by one rule
+//    set: at most one flush (bg_flush_active_) plus compactions at
+//    disjoint level pairs (level_busy_ marks [L, L+1] occupied). A job
+//    drops mutex_ for the heavy lifting (table builds, merges) and retakes
+//    it to install results, waking waiters through bg_cv_. bg_jobs_
+//    counts the executors running or queued.
+//  * MaybeScheduleBackgroundWork hands claimable work to the mode's
+//    executor. kBackground submits closures to the DB's own pool, up to
+//    max_background_jobs at once. kInline runs claimed jobs on the calling
+//    thread until nothing is claimable — no thread, no sleep — so a
+//    single-threaded caller sees the same deterministic tree every run.
 class DBImpl final : public DB {
  public:
   DBImpl(const DBOptions& options, std::string dbname)
@@ -79,12 +80,12 @@ class DBImpl final : public DB {
         std::max(options_.l0_stop_trigger, options_.l0_slowdown_trigger);
     options_.max_background_jobs = std::max(1, options_.max_background_jobs);
     options_.max_subcompactions = std::max(1, options_.max_subcompactions);
-    if ((background_mode() && options_.max_background_jobs > 1) ||
-        options_.max_subcompactions > 1) {
+    if (background_mode() || options_.max_subcompactions > 1) {
+      // kBackground's executor, and every mode's subcompaction shards.
       // Deadlock-free sizing: max_background_jobs parents can occupy pool
       // threads while each waits on max_subcompactions - 1 shard slots,
-      // and one more parent (a foreground CompactAll merge, which runs on
-      // the caller's thread) may want shard slots too —
+      // and one more parent (a foreground CompactAll merge or a kInline
+      // job, which run on the caller's thread) may want shard slots too —
       // (jobs + 1) * subs - 1 covers exactly that worst case.
       bg_pool_ = std::make_unique<ThreadPool>(
           (options_.max_background_jobs + 1) * options_.max_subcompactions -
@@ -145,26 +146,31 @@ class DBImpl final : public DB {
     if (!s.ok()) return s;
     s = ReplayWals();
     if (!s.ok()) return s;
-    s = RollWal();
-    if (!s.ok()) return s;
-    if (!mem_->empty()) {
-      // Persist recovered updates so the old WAL can be retired. Recovery
-      // is single-threaded in both modes: flush inline.
-      s = WriteLevel0TableLocked();
+    if (mem_->empty()) {
+      s = RollWal();
       if (!s.ok()) return s;
-    } else {
       VersionEdit edit;
       edit.SetLogNumber(wal_number_);
       s = versions_->LogAndApply(&edit);
-      if (!s.ok()) return s;
+    } else {
+      // The recovered updates become imm_ behind a fresh log, flushed by
+      // the executor below like any full memtable; that flush retires the
+      // replayed logs.
+      s = SwitchMemTable();
     }
+    if (!s.ok()) return s;
     if (maintained_models()) {
       // Recovery installed versions with empty model slots; seed the
       // recovered tree's models once, from per-file indexes (no key
       // re-reads), so the first reads need no build.
       PrefillLevelModelsLocked();
     }
-    return RemoveObsoleteFiles();
+    s = RemoveObsoleteFiles();
+    if (!s.ok()) return s;
+    // Offer the recovered tree's work (the flush above, an L0 a previous
+    // session left past its trigger) to the executor.
+    MaybeScheduleBackgroundWork();
+    return bg_error_;
   }
 
   Status Put(const WriteOptions& wopts, Key key, const Slice& value) override {
@@ -179,6 +185,12 @@ class DBImpl final : public DB {
     return Write(wopts, &batch);
   }
 
+  /// LevelDB's writer queue: every writer parks in writers_; the front
+  /// writer leads, coalescing the queue prefix into one batch, committing
+  /// it with mutex_ RELEASED (queue front = exclusive-writer token; the
+  /// memtable is single-writer multi-reader safe), then distributing the
+  /// shared status. One WAL append and at most one fsync serve the whole
+  /// group; a lone writer forms a group of one.
   Status Write(const WriteOptions& wopts, WriteBatch* batch) override {
     if (batch->Count() == 0) return Status::OK();
     // Admission: a wrong-size value would be acknowledged, then fail every
@@ -187,41 +199,49 @@ class DBImpl final : public DB {
     Status admitted = batch->CheckValueSizes(options_.value_size);
     if (!admitted.ok()) return admitted;
     MutexLock lock(&mutex_);
-    if (options_.group_commit) return WriteGrouped(wopts, batch);
-    if (background_mode()) {
-      Status rs = MakeRoomForWrite();
-      if (!rs.ok()) return rs;
+    Writer w(&mutex_);
+    w.batch = batch;
+    // Per-call override first, DB-wide default second: a load phase can
+    // run unsynced (or fully WAL-less) against a durable-by-default DB,
+    // and a critical write can force a sync against a lazy one.
+    w.sync = wopts.sync.value_or(options_.sync_wal);
+    w.disable_wal = wopts.disable_wal;
+    writers_.push_back(&w);
+    while (!w.done && &w != writers_.front()) {
+      w.cv.Wait();
     }
+    if (w.done) return w.status;  // a leader served this write
 
-    const SequenceNumber seq = versions_->last_sequence() + 1;
-    WriteBatch::SetSequence(batch, seq);
+    // This writer leads. kBackground applies backpressure first:
+    // MakeRoomForWrite may drop the mutex, but the queue front keeps new
+    // writers parked.
+    Status s = background_mode() ? MakeRoomForWrite() : Status::OK();
 
-    Status s;
-    if (!wopts.disable_wal) {
-      // Per-call override first, DB-wide default second: a load phase can
-      // run unsynced (or fully WAL-less) against a durable-by-default DB,
-      // and a critical write can force a sync against a lazy one.
-      s = wal_->AddRecord(batch->Contents());
-      if (!s.ok()) return s;
-      if (wopts.sync.value_or(options_.sync_wal)) {
-        s = wal_->Sync();
-      } else {
-        s = wal_->Flush();
-      }
-      if (!s.ok()) return s;
-    }
+    Writer* last_writer = &w;
+    if (s.ok()) s = CommitGroup(&last_writer);
 
-    s = batch->InsertInto(mem_, seq);
-    if (!s.ok()) return s;
-    versions_->SetLastSequence(seq + batch->Count() - 1);
-    stats_.Add(Counter::kWrites, batch->Count());
-
-    if (!background_mode() &&
+    if (s.ok() && !background_mode() &&
         mem_->ApproximateMemoryUsage() >= options_.write_buffer_size) {
-      s = WriteLevel0TableLocked();
-      if (!s.ok()) return s;
-      s = CompactUntilStableLocked();
+      // kInline maintains the tree at the end of the write that filled
+      // the memtable, while this writer still holds the queue front, so
+      // the memtable switch cannot race a later leader.
+      s = SwitchMemTable();
+      if (s.ok()) s = CompactUntilStableLocked();
     }
+
+    // Pop the served prefix, handing every member the group's status,
+    // then wake the next queue front (a new leader or a barrier).
+    while (true) {
+      Writer* ready = writers_.front();
+      writers_.pop_front();
+      if (ready != &w) {
+        ready->status = s;
+        ready->done = true;
+        ready->cv.Signal();
+      }
+      if (ready == last_writer) break;
+    }
+    if (!writers_.empty()) writers_.front()->cv.Signal();
     return s;
   }
 
@@ -316,15 +336,7 @@ class DBImpl final : public DB {
 
   Status FlushMemTable() override {
     MutexLock lock(&mutex_);
-    // The memtable switch below must not race an off-mutex group leader:
-    // park a barrier at the writer-queue front for its duration. The
-    // settle phase after touches only the version tree, so writers resume
-    // as soon as the switch lands.
-    Writer barrier(&mutex_);
-    AcquireWriteQueue(&barrier);
-    Status s = background_mode() ? SwitchMemTable()
-                                 : WriteLevel0TableLocked();
-    ReleaseWriteQueue(&barrier);
+    Status s = SwitchMemTableAtBarrier();
     if (!s.ok()) return s;
     return CompactUntilStableLocked();
   }
@@ -336,21 +348,11 @@ class DBImpl final : public DB {
 
   Status CompactAll() override {
     MutexLock lock(&mutex_);
-    Status s;
-    {
-      Writer barrier(&mutex_);
-      AcquireWriteQueue(&barrier);
-      s = background_mode() ? SwitchMemTable()
-                            : WriteLevel0TableLocked();
-      ReleaseWriteQueue(&barrier);
-    }
+    Status s = SwitchMemTableAtBarrier();
+    // Settle all queued maintenance first so the full merge below starts
+    // from a settled tree (callers are quiescent, per the API contract).
+    if (s.ok()) s = CompactUntilStableLocked();
     if (!s.ok()) return s;
-    if (background_mode()) {
-      // Drain all queued maintenance first so the full merge below starts
-      // from a settled tree (callers are quiescent, per the API contract).
-      s = WaitForBackgroundIdle();
-      if (!s.ok()) return s;
-    }
     for (int level = 0; level < kNumLevels - 1; level++) {
       VersionSet::CompactionPick pick;
       if (!versions_->PickFullCompaction(level, &pick)) continue;
@@ -368,10 +370,8 @@ class DBImpl final : public DB {
 
   Status ReconfigureIndexes(IndexType type, const IndexConfig& config) override {
     MutexLock lock(&mutex_);
-    if (background_mode()) {
-      Status ws = WaitForBackgroundIdle();
-      if (!ws.ok()) return ws;
-    }
+    Status ws = CompactUntilStableLocked();
+    if (!ws.ok()) return ws;
     options_.index_type = type;
     options_.index_config = config;
     table_cache_->SetIndexOptions(type, config);
@@ -965,90 +965,48 @@ class DBImpl final : public DB {
     CondVar cv;  // waits under the DB mutex the Writer queues behind
   };
 
-  /// Group commit (DBOptions::group_commit): LevelDB's writer queue.
-  /// Every writer parks in writers_; the front writer leads, coalescing
-  /// the queue prefix into one batch, committing it with mutex_ RELEASED
-  /// (queue front = exclusive-writer token; the memtable is single-writer
-  /// multi-reader safe), then distributing the shared status. One WAL
-  /// append and at most one fsync serve the whole group.
-  Status WriteGrouped(const WriteOptions& wopts, WriteBatch* my_batch)
-      REQUIRES(mutex_) {
-    Writer w(&mutex_);
-    w.batch = my_batch;
-    w.sync = wopts.sync.value_or(options_.sync_wal);
-    w.disable_wal = wopts.disable_wal;
-    writers_.push_back(&w);
-    while (!w.done && &w != writers_.front()) {
-      w.cv.Wait();
-    }
-    if (w.done) return w.status;  // a leader served this write
+  /// REQUIRES mutex_ and writers_.front() owned by the caller (the
+  /// leader). Commits the group BuildBatchGroup forms behind the leader:
+  /// sequences are assigned under the mutex, then one WAL append (and at
+  /// most one fsync) and the memtable insert run with the mutex RELEASED.
+  /// Sets *last_writer to the last member served.
+  Status CommitGroup(Writer** last_writer) REQUIRES(mutex_) {
+    const bool disable_wal = writers_.front()->disable_wal;
+    bool group_sync = false;
+    size_t group_writers = 0;
+    WriteBatch* updates =
+        BuildBatchGroup(last_writer, &group_sync, &group_writers);
+    const SequenceNumber seq = versions_->last_sequence() + 1;
+    WriteBatch::SetSequence(updates, seq);
+    const uint32_t count = updates->Count();
 
-    // This writer leads. Apply backpressure first: MakeRoomForWrite may
-    // drop the mutex, but the queue front keeps new writers parked.
+    // Snapshot the guarded pointers the off-mutex section touches: the
+    // queue-front token (not the mutex) is what makes the WAL and the
+    // memtable single-writer here, and locals make that explicit to the
+    // thread-safety analysis.
+    LogWriter* const wal = wal_.get();
+    MemTable* const mem = mem_;
+    mutex_.Unlock();
     Status s;
-    if (background_mode()) {
-      s = MakeRoomForWrite();
-    }
-
-    Writer* last_writer = &w;
-    if (s.ok()) {
-      bool group_sync = false;
-      size_t group_writers = 0;
-      WriteBatch* updates =
-          BuildBatchGroup(&last_writer, &group_sync, &group_writers);
-      const SequenceNumber seq = versions_->last_sequence() + 1;
-      WriteBatch::SetSequence(updates, seq);
-      const uint32_t count = updates->Count();
-
-      // Snapshot the guarded pointers the off-mutex section touches: the
-      // queue-front token (not the mutex) is what makes the WAL and the
-      // memtable single-writer here, and locals make that explicit to
-      // the thread-safety analysis.
-      LogWriter* const wal = wal_.get();
-      MemTable* const mem = mem_;
-      mutex_.Unlock();
-      if (!w.disable_wal) {
-        s = wal->AddRecord(updates->Contents());
-        if (s.ok()) {
-          // The group's sync bit is the OR of its members: a sync=true
-          // follower joining a sync=false leader still gets its fsync
-          // before any member's status is returned.
-          s = group_sync ? wal->Sync() : wal->Flush();
-        }
-      }
-      if (s.ok()) s = updates->InsertInto(mem, seq);
-      mutex_.Lock();
-
+    if (!disable_wal) {
+      s = wal->AddRecord(updates->Contents());
       if (s.ok()) {
-        versions_->SetLastSequence(seq + count - 1);
-        stats_.Add(Counter::kWrites, count);
-        stats_.Add(Counter::kGroupCommits);
-        stats_.Add(Counter::kGroupCommitBatchSize, group_writers);
+        // The group's sync bit is the OR of its members: a sync=true
+        // follower joining a sync=false leader still gets its fsync
+        // before any member's status is returned.
+        s = group_sync ? wal->Sync() : wal->Flush();
       }
-      if (updates == &tmp_batch_) tmp_batch_.Clear();
     }
+    if (s.ok()) s = updates->InsertInto(mem, seq);
+    mutex_.Lock();
 
-    if (s.ok() && !background_mode() &&
-        mem_->ApproximateMemoryUsage() >= options_.write_buffer_size) {
-      // Inline maintenance runs while this writer still holds the queue
-      // front, so the memtable swap below cannot race a later leader.
-      s = WriteLevel0TableLocked();
-      if (s.ok()) s = CompactUntilStableLocked();
+    if (s.ok()) {
+      versions_->SetLastSequence(seq + count - 1);
+      stats_.Add(Counter::kWrites, count);
+      stats_.Add(Counter::kGroupCommits);
+      stats_.Add(Counter::kGroupCommitBatchSize, group_writers);
     }
-
-    // Pop the served prefix, handing every member the group's status,
-    // then wake the next queue front (a new leader or a barrier).
-    while (true) {
-      Writer* ready = writers_.front();
-      writers_.pop_front();
-      if (ready != &w) {
-        ready->status = s;
-        ready->done = true;
-        ready->cv.Signal();
-      }
-      if (ready == last_writer) break;
-    }
-    if (!writers_.empty()) writers_.front()->cv.Signal();
+    if (updates == &tmp_batch_) tmp_batch_.Clear();
     return s;
   }
 
@@ -1093,10 +1051,8 @@ class DBImpl final : public DB {
 
   /// Parks `w` as a barrier at the writer-queue front: once acquired, no
   /// group leader is off-mutex and none can start, so the caller may
-  /// switch the memtable or roll the WAL. No-op when group commit is off
-  /// (holding mutex_ alone is the exclusive-writer token then).
+  /// switch the memtable or roll the WAL.
   void AcquireWriteQueue(Writer* w) REQUIRES(mutex_) {
-    if (!options_.group_commit) return;
     w->batch = nullptr;
     writers_.push_back(w);
     while (w != writers_.front()) {
@@ -1107,7 +1063,6 @@ class DBImpl final : public DB {
   /// Releases a barrier taken by AcquireWriteQueue and wakes the next
   /// queued writer. REQUIRES mutex_.
   void ReleaseWriteQueue(Writer* w) REQUIRES(mutex_) {
-    if (!options_.group_commit) return;
     LILSM_ASSERT(!writers_.empty() && writers_.front() == w);
     (void)w;
     writers_.pop_front();
@@ -1122,8 +1077,11 @@ class DBImpl final : public DB {
       if (!bg_error_.ok()) return bg_error_;
       if (allow_delay &&
           versions_->current().NumFiles(0) >= options_.l0_slowdown_trigger) {
-        // Soft limit: cede ~1ms to the background thread once per write,
+        // Soft limit: cede ~1ms to the background jobs once per write,
         // smearing the stall over many writes instead of one big pause.
+        // Offer the work first: nothing else may have scheduled it (an L0
+        // recovered past its trigger waits for no memtable switch).
+        MaybeScheduleBackgroundWork();
         mutex_.Unlock();
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
         stats_.Add(Counter::kWriteSlowdowns);
@@ -1145,13 +1103,27 @@ class DBImpl final : public DB {
       } else {
         Status s = SwitchMemTable();
         if (!s.ok()) return s;
+        MaybeScheduleBackgroundWork();
       }
     }
   }
 
-  /// Rolls the WAL and retires the active memtable to imm_, scheduling a
-  /// background flush. Waits first if a previous imm_ is still flushing.
-  /// No-op on an empty memtable.
+  /// SwitchMemTable for callers outside the write path: the switch must
+  /// not race an off-mutex group leader, so it runs behind a barrier at
+  /// the writer-queue front. The flush and any settling after it touch
+  /// only imm_ and the version tree, so writers resume as soon as the
+  /// switch lands.
+  Status SwitchMemTableAtBarrier() REQUIRES(mutex_) {
+    Writer barrier(&mutex_);
+    AcquireWriteQueue(&barrier);
+    Status s = SwitchMemTable();
+    ReleaseWriteQueue(&barrier);
+    return s;
+  }
+
+  /// Rolls the WAL and retires the active memtable to imm_ for a flush
+  /// job; the caller then offers that job to the executor. Waits first if
+  /// a previous imm_ is still flushing. No-op on an empty memtable.
   Status SwitchMemTable() REQUIRES(mutex_) {
     while (imm_ != nullptr && bg_error_.ok()) {
       bg_cv_.Wait();
@@ -1163,38 +1135,37 @@ class DBImpl final : public DB {
     imm_ = mem_;
     mem_ = new MemTable();
     mem_->Ref();
-    MaybeScheduleBackgroundWork();
     return Status::OK();
   }
 
-  // ---- background scheduling (REQUIRES mutex_) ----
+  // ---- job scheduling (REQUIRES mutex_) ----
 
-  /// Schedules one background closure when a job slot is free and some
-  /// work unit is unclaimed. Work is CLAIMED at run time, not here: the
-  /// closure re-examines the tree under mutex_ and may find nothing left
-  /// (another job took it) — it then just retires. A running job calls
-  /// this again right after claiming, so siblings spin up while work
-  /// remains, one speculative closure at a time.
+  /// One claimed unit of maintenance: the imm_ flush, or a compaction.
+  struct Job {
+    bool flush = false;
+    VersionSet::CompactionPick pick;  // compaction only
+  };
+
+  /// The one way a flush or compaction starts: hands claimable work to
+  /// the mode's executor. kBackground submits one closure to the DB pool
+  /// when a job slot is free; work is CLAIMED when the closure runs, not
+  /// here, so it may find nothing left (another job took it) and just
+  /// retire. A running closure calls this again right after claiming, so
+  /// siblings spin up while work remains, one speculative closure at a
+  /// time. kInline runs every claimable job on the calling thread before
+  /// returning.
   void MaybeScheduleBackgroundWork() REQUIRES(mutex_) {
-    if (!background_mode() || !bg_error_.ok() ||
-        shutting_down_.load(std::memory_order_acquire)) {
+    if (!bg_error_.ok() || shutting_down_.load(std::memory_order_acquire)) {
+      return;
+    }
+    if (!background_mode()) {
+      RunInlineJobs();
       return;
     }
     if (bg_jobs_ >= options_.max_background_jobs) return;
     if (!HasClaimableWork()) return;
     bg_jobs_++;
-    ScheduleJob([this] { BackgroundCall(); });
-  }
-
-  /// Runs `job` on the DB pool when one exists (max_background_jobs > 1),
-  /// else on Env::Schedule's worker — the single-job path keeps using the
-  /// Env so decorated/test Envs observe scheduling as before.
-  void ScheduleJob(std::function<void()> job) {
-    if (bg_pool_ != nullptr && options_.max_background_jobs > 1) {
-      bg_pool_->Submit(std::move(job));
-    } else {
-      env_->Schedule(std::move(job));
-    }
+    bg_pool_->Submit([this] { BackgroundCall(); });
   }
 
   /// True when a flush or compaction could be claimed right now, given
@@ -1220,47 +1191,71 @@ class DBImpl final : public DB {
     }
   }
 
-  bool NeedsCompactionLocked() const REQUIRES(mutex_) {
-    return versions_->NeedsCompaction(options_.l0_compaction_trigger,
-                                      options_.write_buffer_size,
-                                      options_.size_ratio);
+  /// Claims the next job, flush first: the flush slot when imm_ is
+  /// unowned, else the best-scoring compaction whose level pair no
+  /// running job occupies. False when nothing is claimable.
+  bool ClaimJob(Job* job) REQUIRES(mutex_) {
+    job->flush = imm_ != nullptr && !bg_flush_active_;
+    if (job->flush) {
+      bg_flush_active_ = true;
+      return true;
+    }
+    bool allowed[kNumLevels];
+    ComputeAllowedLevels(allowed);
+    if (!versions_->PickCompaction(options_.l0_compaction_trigger,
+                                   options_.write_buffer_size,
+                                   options_.size_ratio, &job->pick,
+                                   allowed)) {
+      return false;
+    }
+    level_busy_[job->pick.level] = true;
+    level_busy_[job->pick.level + 1] = true;
+    return true;
   }
 
-  void BackgroundCall() {
-    MutexLock lock(&mutex_);
+  /// Runs a claimed job, releases its claim, and parks the engine on
+  /// failure (writes surface bg_error_). A shutdown abort is expected and
+  /// must not poison the DB.
+  void RunJob(const Job& job) REQUIRES(mutex_) {
     Status s;
-    if (!shutting_down_.load(std::memory_order_acquire) && bg_error_.ok()) {
-      ScopedTimer timer(&stats_, Timer::kBackgroundWork, env_);
-      if (imm_ != nullptr && !bg_flush_active_) {
-        bg_flush_active_ = true;
-        MaybeScheduleBackgroundWork();  // siblings for remaining work
-        s = CompactImmMemTable();
-        bg_flush_active_ = false;
-      } else {
-        bool allowed[kNumLevels];
-        ComputeAllowedLevels(allowed);
-        VersionSet::CompactionPick pick;
-        if (versions_->PickCompaction(options_.l0_compaction_trigger,
-                                      options_.write_buffer_size,
-                                      options_.size_ratio, &pick, allowed)) {
-          level_busy_[pick.level] = true;
-          level_busy_[pick.level + 1] = true;
-          MaybeScheduleBackgroundWork();
-          s = RunCompaction(pick);
-          level_busy_[pick.level] = false;
-          level_busy_[pick.level + 1] = false;
-        }
-        // else: another job claimed the work this closure was scheduled
-        // for — retire idle.
-      }
+    if (job.flush) {
+      s = CompactImmMemTable();
+      bg_flush_active_ = false;
+    } else {
+      s = RunCompaction(job.pick);
+      level_busy_[job.pick.level] = false;
+      level_busy_[job.pick.level + 1] = false;
     }
     if (!s.ok() && !shutting_down_.load(std::memory_order_acquire)) {
-      // A shutdown abort is expected and must not poison the DB; any
-      // other failure parks the engine (writes surface it).
       bg_error_ = s;
+    }
+  }
+
+  /// kBackground's executor: one pool closure, at most one job.
+  void BackgroundCall() {
+    MutexLock lock(&mutex_);
+    Job job;
+    if (!shutting_down_.load(std::memory_order_acquire) && bg_error_.ok() &&
+        ClaimJob(&job)) {
+      ScopedTimer timer(&stats_, Timer::kBackgroundWork, env_);
+      MaybeScheduleBackgroundWork();  // siblings for remaining work
+      RunJob(job);
     }
     bg_jobs_--;
     MaybeScheduleBackgroundWork();
+    bg_cv_.SignalAll();
+  }
+
+  /// kInline's executor: claims and runs jobs, in claim order, on the
+  /// calling thread until nothing is claimable. Work claimed by another
+  /// thread's executor is left to that thread.
+  void RunInlineJobs() REQUIRES(mutex_) {
+    bg_jobs_++;
+    Job job;
+    while (bg_error_.ok() && ClaimJob(&job)) {
+      RunJob(job);
+    }
+    bg_jobs_--;
     bg_cv_.SignalAll();
   }
 
@@ -1290,45 +1285,15 @@ class DBImpl final : public DB {
     return RemoveObsoleteFiles();
   }
 
-  /// Waits until no flush or compaction is queued or running.
-  Status WaitForBackgroundIdle() REQUIRES(mutex_) {
-    while ((imm_ != nullptr || bg_jobs_ > 0) && bg_error_.ok()) {
-      bg_cv_.Wait();
-    }
-    return bg_error_;
-  }
-
+  /// Keeps the executor busy until the tree settles: no job running and
+  /// none claimable (no flush pending, every level within capacity).
   Status CompactUntilStableLocked() REQUIRES(mutex_) {
-    if (!background_mode()) {
-      // RunCompaction drops mutex_ during the merge, so a second writer
-      // thread can get here meanwhile; it must not pick the same inputs.
-      // One thread settles the tree at a time.
-      while (inline_compacting_) bg_cv_.Wait();
-      inline_compacting_ = true;
-      Status s;
-      while (s.ok()) {
-        VersionSet::CompactionPick pick;
-        if (!versions_->PickCompaction(options_.l0_compaction_trigger,
-                                       options_.write_buffer_size,
-                                       options_.size_ratio, &pick)) {
-          break;
-        }
-        s = RunCompaction(pick);
-      }
-      inline_compacting_ = false;
-      bg_cv_.SignalAll();
-      return s;
-    }
-    // Background mode: keep the workers busy until the tree settles.
     while (true) {
-      if (!bg_error_.ok()) return bg_error_;
-      if (imm_ != nullptr || bg_jobs_ > 0) {
-        bg_cv_.Wait();
-        continue;
-      }
-      if (!NeedsCompactionLocked()) return Status::OK();
       MaybeScheduleBackgroundWork();
-      if (bg_jobs_ == 0) return bg_error_;  // refused: shutting down
+      if (!bg_error_.ok()) return bg_error_;
+      // No job running after the offer: nothing was claimable with no
+      // claim held (settled), or the executor refused (shutting down).
+      if (bg_jobs_ == 0) return Status::OK();
       bg_cv_.Wait();
     }
   }
@@ -1524,29 +1489,6 @@ class DBImpl final : public DB {
     if (!s.ok()) return s;
     meta->file_size = builder->FileSize();
     return Status::OK();
-  }
-
-  /// Inline flush: the original synchronous path. REQUIRES mutex_.
-  Status WriteLevel0TableLocked() REQUIRES(mutex_) {
-    if (mem_->empty()) return Status::OK();
-    FileMeta meta;
-    Status s = BuildLevel0Table(*mem_, &meta);
-    if (!s.ok()) return s;
-
-    // Retire the current WAL: its contents are now durable in the table.
-    s = RollWal();
-    if (!s.ok()) return s;
-
-    VersionEdit edit;
-    edit.AddFile(0, meta);
-    edit.SetLogNumber(wal_number_);
-    s = InstallEdit(&edit);
-    if (!s.ok()) return s;
-
-    mem_->Unref();
-    mem_ = new MemTable();
-    mem_->Ref();
-    return RemoveObsoleteFiles();
   }
 
   /// Runs one compaction job. REQUIRES mutex_; drops it during the merge
@@ -1756,25 +1698,22 @@ class DBImpl final : public DB {
   std::shared_ptr<BlockCache> block_cache_;
   std::unique_ptr<TableCache> table_cache_;
   std::unique_ptr<ModelCatalog> model_catalog_;
-  // Worker pool for parallel background jobs and subcompaction shards;
-  // null in the default single-job, single-shard configuration (which
-  // schedules through the Env, as always). Destroyed after the destructor
-  // drains bg_jobs_, so it is idle by then.
+  // kBackground's executor and the subcompaction shards' workers; null
+  // under kInline with max_subcompactions = 1. Destroyed after the
+  // destructor drains bg_jobs_, so it is idle by then.
   std::unique_ptr<ThreadPool> bg_pool_;
-  // Group-commit writer queue (guarded by mutex_): front = leader or
-  // barrier holder, i.e. the one thread allowed to touch wal_ and mem_
-  // with the mutex released. Empty whenever group_commit is off.
+  // Writer queue (guarded by mutex_): front = leader or barrier holder,
+  // i.e. the one thread allowed to touch wal_ and mem_ with the mutex
+  // released.
   std::deque<Writer*> writers_ GUARDED_BY(mutex_);
   /// Leader's coalescing scratch; queue-front owned.
   WriteBatch tmp_batch_ GUARDED_BY(mutex_);
-  /// Background closures scheduled or running.
+  /// Executors scheduled or running: pool closures plus kInline loops.
   int bg_jobs_ GUARDED_BY(mutex_) = 0;
   /// A job owns the imm_ flush.
   bool bg_flush_active_ GUARDED_BY(mutex_) = false;
   /// A compaction occupies this level pair's upper half.
   bool level_busy_[kNumLevels] GUARDED_BY(mutex_) = {};
-  /// kInline: a thread is running CompactUntilStableLocked's merges.
-  bool inline_compacting_ GUARDED_BY(mutex_) = false;
   // File numbers >= min(gc_fences_) may be in-flight job outputs not yet
   // in any version; RemoveObsoleteFiles must not sweep them.
   std::multiset<uint64_t> gc_fences_ GUARDED_BY(mutex_);

@@ -4,23 +4,29 @@
 // the paper's six learned indexes or the traditional fence pointers, at
 // file or level granularity.
 //
-// Two execution models (DBOptions::concurrency; see DESIGN.md):
+// One execution model, two executors (DBOptions::concurrency; see
+// DESIGN.md). Every write goes through LevelDB's writer queue: the front
+// writer leads, coalescing queued batches into one WAL record, one
+// memtable apply and at most one fsync (a lone writer is a group of one).
+// Flushes and compactions are jobs claimed under one rule set and handed
+// to an executor:
 //
-//  * kInline (default): single-threaded with inline (synchronous) flushes
-//    and compactions, which makes every measurement the benches take
+//  * kInline (default): the calling thread runs every claimable job
+//    before it returns — at the end of the write that filled the
+//    memtable, in FlushMemTable/CompactUntilStable/CompactAll, and at
+//    Open. No thread, no sleep: every measurement the benches take is
 //    deterministic — the paper's setup.
-//  * kBackground: writes hand full memtables to background workers that
-//    flush and compact off the foreground path, with LevelDB-style
-//    write slowdown/stall triggers; readers pin refcounted memtables and
-//    versions, so Get and iterators run concurrently with mutation, and
-//    Snapshot handles give repeatable point-in-time reads.
+//  * kBackground: the DB's own thread pool runs the jobs off the
+//    foreground path, with LevelDB-style write slowdown/stall triggers;
+//    readers pin refcounted memtables and versions, so Get and iterators
+//    run concurrently with mutation, and Snapshot handles give repeatable
+//    point-in-time reads.
 //
-// The parallel write path is opt-in on top of either mode (all default
-// off; see DESIGN.md "Write path & concurrency architecture"):
-// group_commit batches concurrent writers through a leader,
-// max_background_jobs > 1 runs flush ∥ compaction and disjoint-level
-// compactions concurrently, and max_subcompactions > 1 range-partitions
-// one large compaction across threads.
+// Parallel maintenance is opt-in (default off; see DESIGN.md "Write path
+// & concurrency architecture"): max_background_jobs > 1 runs flush ∥
+// compaction and disjoint-level compactions concurrently, and
+// max_subcompactions > 1 range-partitions one large compaction across
+// threads.
 #ifndef LILSM_LSM_DB_H_
 #define LILSM_LSM_DB_H_
 
@@ -81,13 +87,15 @@ enum class ModelPersistence : uint8_t {
   kRetrainOnOpen = 1,
 };
 
-/// Where LSM maintenance (flush, compaction) runs.
+/// Which executor runs LSM maintenance (flush, compaction) jobs.
 enum class ConcurrencyMode : uint8_t {
-  /// Maintenance runs inline on the writing thread; the engine is
-  /// single-threaded and deterministic (every paper figure uses this).
+  /// The calling thread runs every claimable job before it returns; a
+  /// single-threaded caller gets a deterministic engine (every paper
+  /// figure uses this).
   kInline = 0,
-  /// Maintenance runs on Env::Schedule's background thread; writers only
-  /// stall on the slowdown/stop triggers and readers never block.
+  /// A thread pool owned by the DB runs up to max_background_jobs jobs at
+  /// once; writers only stall on the slowdown/stop triggers and readers
+  /// never block.
   kBackground = 1,
 };
 
@@ -182,19 +190,15 @@ struct DBOptions {
   /// l0_slowdown_trigger.
   int l0_stop_trigger = 12;
 
-  /// Group commit (LevelDB's writer queue): concurrent Write calls link
-  /// into a queue; the front writer becomes leader, coalesces the queued
-  /// batches into one WAL record and one memtable apply, and amortizes a
-  /// single fsync across the group. Off (default) keeps the serial write
-  /// path byte-identical to earlier releases; kInline measurements are
-  /// unaffected either way (one writer never forms a group > 1).
+  /// Ignored: every write goes through the group-commit writer queue.
+  /// Kept only so existing callers that set it still compile.
   bool group_commit = false;
 
-  /// kBackground only: how many flushes/compactions may run at once. 1
-  /// (default) reproduces the single-worker engine. Above 1 the DB owns a
-  /// thread pool and runs a flush in parallel with compactions, and
-  /// compactions at disjoint level pairs in parallel (a job at level L
-  /// occupies L and L+1; see DESIGN.md "Write path & concurrency").
+  /// kBackground only: how many flushes/compactions may run at once (the
+  /// size of the DB's job pool). 1 (default) is the single-worker engine.
+  /// Above 1 a flush runs in parallel with compactions, and compactions
+  /// at disjoint level pairs in parallel (a job at level L occupies L and
+  /// L+1; see DESIGN.md "Write path & concurrency").
   int max_background_jobs = 1;
 
   /// Maximum range-partitioned shards per compaction. 1 (default) keeps

@@ -8,18 +8,16 @@
 // so recovery must fail rather than silently truncate history.
 //
 // Concurrency contract: LogWriter/LogReader are single-threaded objects;
-// the engine guarantees one appender at a time. On the serial write path
-// that appender holds the DB-wide mutex across AddRecord + memtable
-// insert. Under group commit (DBOptions::group_commit) the appender is
-// the writer-queue LEADER, which appends with the mutex RELEASED — being
-// at the front of the queue is the exclusive-writer token, so there is
-// still exactly one thread touching the LogWriter, and log order still
-// matches sequence order (the leader assigns the group's sequences before
+// the engine guarantees one appender at a time. The appender is the DB's
+// writer-queue LEADER, which appends with the DB mutex RELEASED — being at
+// the front of the queue is the exclusive-writer token, so there is still
+// exactly one thread touching the LogWriter, and log order still matches
+// sequence order (the leader assigns the group's sequences before
 // appending). The MANIFEST writer is only touched by LogAndApply, always
 // under the mutex. Rolling the WAL at a memtable switch replaces the
-// LogWriter wholesale (serial path: under the mutex; group-commit path:
-// while holding the queue front as a barrier); the retired log is only
-// read again during single-threaded recovery.
+// LogWriter wholesale, under the mutex and while holding the queue front
+// (as the leader or as a barrier); the retired log is only read again
+// during single-threaded recovery.
 #ifndef LILSM_LSM_WAL_H_
 #define LILSM_LSM_WAL_H_
 

@@ -45,7 +45,6 @@ void Usage(const char* argv0) {
       "  --workers=N            request worker threads (default 4)\n"
       "  --max-frame-mb=N       per-frame payload limit in MiB (default 16)\n"
       "  --backlog=N            listen(2) backlog (default 128)\n"
-      "  --group-commit=0|1     coalesce concurrent writes (default 1)\n"
       "  --background=0|1       background flush/compaction (default 1)\n"
       "  --io-depth=N           async read batch depth (default 1)\n"
       "  --block-cache-mb=N     shared block cache size (default 0 = off)\n"
@@ -75,7 +74,7 @@ int main(int argc, char** argv) {
   std::string db_path;
   lilsm::ServerOptions server_options;
   long workers = 4, max_frame_mb = 16, backlog = 128;
-  long group_commit = 1, background = 1, io_depth = 1, block_cache_mb = 0;
+  long background = 1, io_depth = 1, block_cache_mb = 0;
   long sync_wal = 0, dump_stats = 1;
 
   for (int i = 1; i < argc; i++) {
@@ -85,7 +84,6 @@ int main(int argc, char** argv) {
         ParseIntFlag(arg, "--workers", &workers) ||
         ParseIntFlag(arg, "--max-frame-mb", &max_frame_mb) ||
         ParseIntFlag(arg, "--backlog", &backlog) ||
-        ParseIntFlag(arg, "--group-commit", &group_commit) ||
         ParseIntFlag(arg, "--background", &background) ||
         ParseIntFlag(arg, "--io-depth", &io_depth) ||
         ParseIntFlag(arg, "--block-cache-mb", &block_cache_mb) ||
@@ -110,7 +108,6 @@ int main(int argc, char** argv) {
   server_options.listen_backlog = static_cast<int>(backlog);
 
   lilsm::DBOptions db_options;
-  db_options.group_commit = group_commit != 0;
   db_options.concurrency = background != 0
                                ? lilsm::ConcurrencyMode::kBackground
                                : lilsm::ConcurrencyMode::kInline;

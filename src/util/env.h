@@ -136,12 +136,10 @@ class Env {
   uint64_t NowMicros() { return NowNanos() / 1000; }
 
   /// Runs `work` once on a background thread. The default implementation
-  /// feeds a process-wide ThreadPool shared by every Env (mirroring
-  /// LevelDB's single maintenance thread), which serializes maintenance
-  /// across DB instances; decorators forward to their base. Closures must
-  /// not assume any ordering beyond FIFO dispatch, and the engine only
-  /// calls this in ConcurrencyMode::kBackground, so kInline runs stay
-  /// deterministic and thread-free.
+  /// feeds a process-wide ThreadPool shared by every Env. The engine does
+  /// not call this: each DB runs its maintenance jobs on a pool it owns,
+  /// so DBs in one process never queue behind each other. Closures must
+  /// not assume any ordering beyond FIFO dispatch.
   virtual void Schedule(std::function<void()> work);
 
   /// Creates a batch that keeps up to `io_depth` reads in flight at once

@@ -79,9 +79,6 @@ class FaultEnv final : public Env {
                     const std::string& target) override;
   Status SyncDir(const std::string& dirname) override;
   uint64_t NowNanos() override { return base_->NowNanos(); }
-  void Schedule(std::function<void()> work) override {
-    base_->Schedule(std::move(work));
-  }
   std::unique_ptr<ReadBatch> NewReadBatch(int io_depth) override {
     return base_->NewReadBatch(io_depth);
   }

@@ -119,9 +119,6 @@ class SimEnv final : public Env {
     return base_->SyncDir(dirname);
   }
   uint64_t NowNanos() override { return base_->NowNanos(); }
-  void Schedule(std::function<void()> work) override {
-    base_->Schedule(std::move(work));
-  }
 
   /// Deterministic queue-depth model: requests execute serially (counters
   /// identical to sequential Reads) but their modeled waits are charged in

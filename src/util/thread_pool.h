@@ -1,7 +1,8 @@
 // ThreadPool: a fixed-size worker pool with a FIFO work queue, backing
-// Env::Schedule. The destructor completes all queued work before joining,
-// so callers that wait for their own completion signals (the DB's
-// background-work flag) never lose a scheduled closure.
+// the DB's background jobs and Env::Schedule. The destructor completes
+// all queued work before joining, so callers that wait for their own
+// completion signals (the DB's background-work flag) never lose a
+// scheduled closure.
 #ifndef LILSM_UTIL_THREAD_POOL_H_
 #define LILSM_UTIL_THREAD_POOL_H_
 

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <map>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 namespace lilsm {
 namespace {
 
+using testing_util::GatedEnv;
 using testing_util::ScratchDir;
 
 constexpr uint32_t kValueSize = 48;
@@ -542,16 +544,15 @@ TEST_F(DbConcurrencyTest, MultiGetUnderConcurrentMaintenanceWithSnapshot) {
 }
 
 // Regression test for a thread-safety-analysis finding in the group-commit
-// leader: WriteGrouped dereferenced the mutex-guarded wal_/mem_ members
-// AFTER dropping the DB mutex, relying implicitly on the queue-front token
-// to keep them stable. The fix snapshots both into locals under the mutex
+// leader: the grouped write body dereferenced the mutex-guarded wal_/mem_
+// members AFTER dropping the DB mutex, relying implicitly on the
+// queue-front token to keep them stable. The fix snapshots both into locals under the mutex
 // before unlocking. This test hammers that exact window: grouped sync and
 // non-sync writers racing explicit memtable switches (FlushMemTable swaps
 // mem_ and rolls wal_), so any return to off-mutex member access shows up
 // as a data race under TSan.
 TEST_F(DbConcurrencyTest, GroupCommitLeaderRacesMemtableSwitch) {
   DBOptions options = BackgroundDbOptions();
-  options.group_commit = true;
   Open(options);
 
   constexpr int kWriters = 4;
@@ -594,6 +595,38 @@ TEST_F(DbConcurrencyTest, GroupCommitLeaderRacesMemtableSwitch) {
       EXPECT_EQ(value, ValueFor(key, 1));
     }
   }
+}
+
+// Each DB runs its maintenance on a pool it owns: a flush job parked
+// mid-build in one DB must not delay another DB's flush in the same
+// process, as a process-wide maintenance thread would. The wait on B is
+// bounded, so the failure mode is a failed check, not a hung test.
+TEST_F(DbConcurrencyTest, EachDbRunsItsOwnMaintenance) {
+  GatedEnv gated(Env::Default(), ".lst");
+  DBOptions a_options = BackgroundDbOptions();
+  a_options.env = &gated;
+  std::unique_ptr<DB> a;
+  ASSERT_LILSM_OK(DB::Open(a_options, dir_.path() + "/a", &a));
+  Open();  // DB B
+  for (Key key = 1; key <= 100; key++) {
+    ASSERT_LILSM_OK(a->Put(key, ValueFor(key, 0)));
+    ASSERT_LILSM_OK(db_->Put(key, ValueFor(key, 0)));
+  }
+
+  gated.CloseGate();
+  std::thread a_flush([&] { EXPECT_LILSM_OK(a->FlushMemTable()); });
+  gated.AwaitBlockedAppender();  // A's flush job is parked mid-build
+  std::future<Status> b_flush =
+      std::async(std::launch::async, [&] { return db_->FlushMemTable(); });
+  const bool b_finished = b_flush.wait_for(std::chrono::seconds(10)) ==
+                          std::future_status::ready;
+  gated.OpenGate();
+  a_flush.join();
+  EXPECT_TRUE(b_finished) << "B's flush waited behind A's parked job";
+  ASSERT_LILSM_OK(b_flush.get());
+  EXPECT_EQ(db_->NumFilesAtLevel(0), 1);
+  EXPECT_EQ(a->NumFilesAtLevel(0), 1);
+  a.reset();  // before the Env it borrows goes out of scope
 }
 
 }  // namespace

@@ -6,10 +6,8 @@
 // single-threaded merge, and the multi-job scheduler under full load.
 // Run under TSan in CI (see ci.yml).
 #include <atomic>
-#include <condition_variable>
 #include <cstdlib>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -25,6 +23,7 @@
 namespace lilsm {
 namespace {
 
+using testing_util::GatedEnv;
 using testing_util::ScratchDir;
 
 constexpr uint32_t kValueSize = 48;
@@ -32,7 +31,6 @@ constexpr uint32_t kValueSize = 48;
 DBOptions ParallelDbOptions() {
   DBOptions options;
   options.concurrency = ConcurrencyMode::kBackground;
-  options.group_commit = true;
   options.write_buffer_size = 64 << 10;    // tiny: frequent switches
   options.sstable_target_size = 32 << 10;  // many small tables
   options.l0_compaction_trigger = 2;
@@ -192,9 +190,10 @@ class DbParallelWriteTest : public ::testing::Test {
   std::unique_ptr<DB> db_;
 };
 
-// The core equivalence claim: with group commit on, N concurrent writers
-// with disjoint key stripes produce exactly the state serial application
-// of their streams would, both live and after a close/reopen WAL replay.
+// The core equivalence claim: through the writer queue, N concurrent
+// writers with disjoint key stripes produce exactly the state serial
+// application of their streams would, both live and after a close/reopen
+// WAL replay.
 TEST_F(DbParallelWriteTest, GroupCommitEquivalentToSerialApplication) {
   for (int writers : {1, 4, 16, 64}) {
     DBOptions options = ParallelDbOptions();
@@ -239,115 +238,6 @@ TEST_F(DbParallelWriteTest, GroupCommitEquivalentToSerialApplication) {
   }
 }
 
-// A gate/counting Env wrapper: blocks WAL appends while the gate is
-// closed (parking a group leader mid-commit so followers can queue up
-// behind it deterministically) and counts WAL fsyncs.
-class GatedWalEnv : public Env {
- public:
-  explicit GatedWalEnv(Env* base) : base_(base) {}
-
-  void CloseGate() {
-    std::lock_guard<std::mutex> lock(mu_);
-    gate_open_ = false;
-  }
-  void OpenGate() {
-    std::lock_guard<std::mutex> lock(mu_);
-    gate_open_ = true;
-    cv_.notify_all();
-  }
-  /// Blocks until a WAL append is parked at the closed gate.
-  void AwaitBlockedAppender() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return blocked_ > 0; });
-  }
-  uint64_t wal_syncs() const {
-    return wal_syncs_.load(std::memory_order_acquire);
-  }
-
-  Status NewWritableFile(const std::string& fname,
-                         std::unique_ptr<WritableFile>* result) override {
-    Status s = base_->NewWritableFile(fname, result);
-    if (s.ok() && fname.size() > 4 &&
-        fname.compare(fname.size() - 4, 4, ".log") == 0) {
-      *result = std::make_unique<GatedFile>(this, std::move(*result));
-    }
-    return s;
-  }
-
-  Status NewRandomAccessFile(
-      const std::string& fname,
-      std::unique_ptr<RandomAccessFile>* result) override {
-    return base_->NewRandomAccessFile(fname, result);
-  }
-  Status NewSequentialFile(const std::string& fname,
-                           std::unique_ptr<SequentialFile>* result) override {
-    return base_->NewSequentialFile(fname, result);
-  }
-  bool FileExists(const std::string& fname) override {
-    return base_->FileExists(fname);
-  }
-  Status GetChildren(const std::string& dir,
-                     std::vector<std::string>* result) override {
-    return base_->GetChildren(dir, result);
-  }
-  Status RemoveFile(const std::string& fname) override {
-    return base_->RemoveFile(fname);
-  }
-  Status CreateDir(const std::string& dirname) override {
-    return base_->CreateDir(dirname);
-  }
-  Status RemoveDir(const std::string& dirname) override {
-    return base_->RemoveDir(dirname);
-  }
-  Status GetFileSize(const std::string& fname, uint64_t* size) override {
-    return base_->GetFileSize(fname, size);
-  }
-  Status RenameFile(const std::string& src,
-                    const std::string& target) override {
-    return base_->RenameFile(src, target);
-  }
-  uint64_t NowNanos() override { return base_->NowNanos(); }
-  void Schedule(std::function<void()> work) override {
-    base_->Schedule(std::move(work));
-  }
-
- private:
-  class GatedFile : public WritableFile {
-   public:
-    GatedFile(GatedWalEnv* env, std::unique_ptr<WritableFile> base)
-        : env_(env), base_(std::move(base)) {}
-    Status Append(const Slice& data) override {
-      {
-        std::unique_lock<std::mutex> lock(env_->mu_);
-        if (!env_->gate_open_) {
-          env_->blocked_++;
-          env_->cv_.notify_all();  // wake AwaitBlockedAppender
-          env_->cv_.wait(lock, [this] { return env_->gate_open_; });
-          env_->blocked_--;
-        }
-      }
-      return base_->Append(data);
-    }
-    Status Flush() override { return base_->Flush(); }
-    Status Sync() override {
-      env_->wal_syncs_.fetch_add(1, std::memory_order_acq_rel);
-      return base_->Sync();
-    }
-    Status Close() override { return base_->Close(); }
-
-   private:
-    GatedWalEnv* env_;
-    std::unique_ptr<WritableFile> base_;
-  };
-
-  Env* base_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool gate_open_ = true;
-  int blocked_ = 0;
-  std::atomic<uint64_t> wal_syncs_{0};
-};
-
 // Regression (PR 6 bugfix): a sync=true write that joins a group whose
 // leader has sync=false must still be fsync'd before it is acknowledged —
 // the leader upgrades the group's sync bit to the OR of its members.
@@ -355,10 +245,9 @@ class GatedWalEnv : public Env {
 // queue A (sync=false) then B (sync=true) behind it, release the gate, and
 // check B's durability plus the group accounting.
 TEST_F(DbParallelWriteTest, SyncJoinerUpgradesGroupSync) {
-  GatedWalEnv env(Env::Default());
+  GatedEnv env(Env::Default(), ".log");
   DBOptions options;  // kInline: no background work muddies the counters
   options.env = &env;
-  options.group_commit = true;
   options.value_size = kValueSize;
   Open(options, "sync_upgrade");
 
@@ -395,7 +284,7 @@ TEST_F(DbParallelWriteTest, SyncJoinerUpgradesGroupSync) {
 
   // B was acknowledged => the WAL was fsync'd despite A (sync=false)
   // leading the group. Checked before any close-path syncs can run.
-  ASSERT_GE(env.wal_syncs(), 1u);
+  ASSERT_GE(env.gated_syncs(), 1u);
   // Two groups formed: {Z} then {A, B} under A's leadership.
   ASSERT_EQ(db_->stats()->Count(Counter::kGroupCommits), 2u);
   ASSERT_EQ(db_->stats()->Count(Counter::kGroupCommitBatchSize), 3u);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <thread>
 
@@ -347,6 +348,46 @@ TEST_F(DbTest, TornWalTailIsDiscardedCleanly) {
   ASSERT_LILSM_OK(db_->Get(1, &value));
   EXPECT_EQ(value, ValueFor(1, 0));
   ASSERT_LILSM_OK(db_->Get(198, &value));
+}
+
+// A kBackground reopen that finds an unflushed WAL turns it into a fresh
+// L0 table. Open must offer that flush, and an L0 a previous session left
+// past its trigger, to the background jobs: otherwise every such reopen
+// adds an L0 file nothing compacts, until L0 passes the slowdown trigger
+// and every write sleeps.
+TEST_F(DbTest, BackgroundReopenCompactsRecoveredL0) {
+  DBOptions options;
+  options.concurrency = ConcurrencyMode::kBackground;
+  options.value_size = kValueSize;
+  std::map<Key, std::string> model;
+  for (Key session = 0; session < 10; session++) {
+    Reopen(options);
+    for (Key i = 0; i < 100; i++) {
+      const Key key = session * 100 + i;
+      const std::string value = ValueFor(key, session);
+      ASSERT_LILSM_OK(db_->Put(key, value));
+      model[key] = value;
+    }
+  }
+  Reopen(options);
+  // Watch for the background work to settle without starting any:
+  // FlushMemTable or CompactUntilStable would settle the tree themselves.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (db_->NumFilesAtLevel(0) >= options.l0_compaction_trigger &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_LT(db_->NumFilesAtLevel(0), options.l0_compaction_trigger);
+
+  const uint64_t slowdowns = db_->stats()->Count(Counter::kWriteSlowdowns);
+  for (Key key = 5000; key < 5100; key++) {
+    const std::string value = ValueFor(key, 0);
+    ASSERT_LILSM_OK(db_->Put(key, value));
+    model[key] = value;
+  }
+  EXPECT_EQ(db_->stats()->Count(Counter::kWriteSlowdowns), slowdowns);
+  VerifyAgainstModel(model);
 }
 
 TEST_F(DbTest, CompactAllDrainsUpperLevels) {

@@ -36,8 +36,14 @@ Key StripeBase(int client) { return static_cast<Key>(client + 1) << 32; }
 std::string SharedValue(Key k) { return DeriveValue(k, kValueSize); }
 
 std::string StripeValue(int client, Key k, int version) {
-  std::string value = "c" + std::to_string(client) + "k" +
-                      std::to_string(k) + "v" + std::to_string(version);
+  // Appended piecewise: gcc 12's -Wrestrict misfires on
+  // "literal" + std::to_string(...) in optimized builds.
+  std::string value = "c";
+  value += std::to_string(client);
+  value += 'k';
+  value += std::to_string(k);
+  value += 'v';
+  value += std::to_string(version);
   value.resize(kValueSize, '.');
   return value;
 }
@@ -48,7 +54,6 @@ DBOptions EquivalenceDbOptions() {
   options.sstable_target_size = 32 << 10;
   options.l0_compaction_trigger = 2;
   options.value_size = kValueSize;
-  options.group_commit = true;
   return options;
 }
 

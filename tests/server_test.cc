@@ -40,7 +40,6 @@ DBOptions ServerDbOptions() {
   options.sstable_target_size = 32 << 10;
   options.l0_compaction_trigger = 2;
   options.value_size = kValueSize;  // Write admits only this value size
-  options.group_commit = true;      // concurrent client writes coalesce
   return options;
 }
 
@@ -495,9 +494,13 @@ TEST_F(ServerTest, ManyClientsInterleave) {
       ASSERT_LILSM_OK(Client::Connect(server_->socket_path(), &client));
       const Key base = static_cast<Key>(c + 1) << 32;
       for (Key i = 0; i < kPerClient; i++) {
-        ASSERT_LILSM_OK(
-            client->Put(base + i, FixedValue("c" + std::to_string(c) + "-" +
-                                                 std::to_string(i))));
+        // Appended piecewise: gcc 12's -Wrestrict misfires on
+        // "literal" + std::to_string(...) in optimized builds.
+        std::string tag = "c";
+        tag += std::to_string(c);
+        tag += '-';
+        tag += std::to_string(i);
+        ASSERT_LILSM_OK(client->Put(base + i, FixedValue(tag)));
       }
       std::vector<Key> keys;
       for (Key i = 0; i < kPerClient; i++) keys.push_back(base + i);

@@ -1,10 +1,16 @@
-// Shared test helpers: scratch directories and key-set builders.
+// Shared test helpers: scratch directories, key-set builders, and a gated
+// Env that parks appends to chosen files.
 #ifndef LILSM_TESTS_TEST_UTIL_H_
 #define LILSM_TESTS_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "index/index.h"
@@ -81,6 +87,117 @@ inline Status ReaderGet(TableReader* reader, Key key, std::string* value,
   return reader->MultiGet(std::span<const Key>(&key, 1), lo, hi, value, tag,
                           found, /*stats=*/nullptr);
 }
+
+/// A gate/counting Env wrapper for the files whose names end in
+/// `suffix`: blocks their appends while the gate is closed and counts
+/// their fsyncs. Gating ".log" parks a writer-queue leader mid-commit, so
+/// followers queue behind it deterministically; gating ".lst" parks a
+/// flush or compaction job mid-build.
+class GatedEnv : public Env {
+ public:
+  GatedEnv(Env* base, std::string suffix)
+      : base_(base), suffix_(std::move(suffix)) {}
+
+  void CloseGate() {
+    std::lock_guard<std::mutex> lock(mu_);
+    gate_open_ = false;
+  }
+  void OpenGate() {
+    std::lock_guard<std::mutex> lock(mu_);
+    gate_open_ = true;
+    cv_.notify_all();
+  }
+  /// Blocks until an append is parked at the closed gate.
+  void AwaitBlockedAppender() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return blocked_ > 0; });
+  }
+  uint64_t gated_syncs() const {
+    return gated_syncs_.load(std::memory_order_acquire);
+  }
+
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    Status s = base_->NewWritableFile(fname, result);
+    if (s.ok() && fname.size() >= suffix_.size() &&
+        fname.compare(fname.size() - suffix_.size(), suffix_.size(),
+                      suffix_) == 0) {
+      *result = std::make_unique<GatedFile>(this, std::move(*result));
+    }
+    return s;
+  }
+
+  Status NewRandomAccessFile(
+      const std::string& fname,
+      std::unique_ptr<RandomAccessFile>* result) override {
+    return base_->NewRandomAccessFile(fname, result);
+  }
+  Status NewSequentialFile(const std::string& fname,
+                           std::unique_ptr<SequentialFile>* result) override {
+    return base_->NewSequentialFile(fname, result);
+  }
+  bool FileExists(const std::string& fname) override {
+    return base_->FileExists(fname);
+  }
+  Status GetChildren(const std::string& dir,
+                     std::vector<std::string>* result) override {
+    return base_->GetChildren(dir, result);
+  }
+  Status RemoveFile(const std::string& fname) override {
+    return base_->RemoveFile(fname);
+  }
+  Status CreateDir(const std::string& dirname) override {
+    return base_->CreateDir(dirname);
+  }
+  Status RemoveDir(const std::string& dirname) override {
+    return base_->RemoveDir(dirname);
+  }
+  Status GetFileSize(const std::string& fname, uint64_t* size) override {
+    return base_->GetFileSize(fname, size);
+  }
+  Status RenameFile(const std::string& src,
+                    const std::string& target) override {
+    return base_->RenameFile(src, target);
+  }
+  uint64_t NowNanos() override { return base_->NowNanos(); }
+
+ private:
+  class GatedFile : public WritableFile {
+   public:
+    GatedFile(GatedEnv* env, std::unique_ptr<WritableFile> base)
+        : env_(env), base_(std::move(base)) {}
+    Status Append(const Slice& data) override {
+      {
+        std::unique_lock<std::mutex> lock(env_->mu_);
+        if (!env_->gate_open_) {
+          env_->blocked_++;
+          env_->cv_.notify_all();  // wake AwaitBlockedAppender
+          env_->cv_.wait(lock, [this] { return env_->gate_open_; });
+          env_->blocked_--;
+        }
+      }
+      return base_->Append(data);
+    }
+    Status Flush() override { return base_->Flush(); }
+    Status Sync() override {
+      env_->gated_syncs_.fetch_add(1, std::memory_order_acq_rel);
+      return base_->Sync();
+    }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    GatedEnv* env_;
+    std::unique_ptr<WritableFile> base_;
+  };
+
+  Env* const base_;
+  const std::string suffix_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool gate_open_ = true;
+  int blocked_ = 0;
+  std::atomic<uint64_t> gated_syncs_{0};
+};
 
 #define ASSERT_LILSM_OK(expr)                                 \
   do {                                                        \
