@@ -93,6 +93,7 @@ Status Testbed::Reconfigure(const IndexSetup& setup) {
 
 void Testbed::BeginRun() {
   db_->stats()->Reset();
+  read_stats_.Reset();
   // Every measured run starts with a cold block cache: without this, the
   // rows of a (type x boundary) sweep inherit the previous config's warm
   // set and stop being comparable to each other.
@@ -107,6 +108,7 @@ void Testbed::EndRun(RunMetrics* metrics) {
   metrics->index_memory = db_->TotalIndexMemory();
   metrics->filter_memory = db_->TotalFilterMemory();
   metrics->stats = *db_->stats();
+  metrics->stats.Merge(read_stats_);
   if (sim_env_ != nullptr) {
     metrics->io_reads =
         sim_env_->io_stats()->random_reads.load() - io_reads_at_start_;
@@ -139,6 +141,8 @@ Status Testbed::RunPointLookups(size_t count, bool zipfian,
   }
 
   BeginRun();
+  ReadOptions ropts;
+  ropts.stats = &read_stats_;
   if (multiget_batch > 1) {
     std::vector<std::string> values;
     std::vector<Status> statuses;
@@ -147,7 +151,7 @@ Status Testbed::RunPointLookups(size_t count, bool zipfian,
       const size_t n = std::min(multiget_batch, requests.size() - start);
       const std::span<const Key> batch(requests.data() + start, n);
       const uint64_t t0 = env->NowNanos();
-      Status s = db_->MultiGet(ReadOptions(), batch, &values, &statuses);
+      Status s = db_->MultiGet(ropts, batch, &values, &statuses);
       const double per_key =
           static_cast<double>(env->NowNanos() - t0) / static_cast<double>(n);
       for (size_t i = 0; i < n; i++) metrics->latency_ns.Add(per_key);
@@ -164,7 +168,7 @@ Status Testbed::RunPointLookups(size_t count, bool zipfian,
   std::string value;
   for (Key key : requests) {
     const uint64_t t0 = env->NowNanos();
-    Status s = db_->Get(key, &value);
+    Status s = db_->Get(ropts, key, &value);
     metrics->latency_ns.Add(static_cast<double>(env->NowNanos() - t0));
     if (!s.ok()) {
       return Status::Corruption("point lookup lost a loaded key");
@@ -187,6 +191,7 @@ Status Testbed::RunRangeLookups(size_t count, size_t range_len,
 
   BeginRun();
   ReadOptions ropts;
+  ropts.stats = &read_stats_;
   ropts.readahead_blocks = options_.defaults.readahead_blocks;
   std::vector<std::pair<Key, std::string>> out;
   for (Key start : starts) {
@@ -213,6 +218,8 @@ Status Testbed::RunYcsb(YcsbWorkload workload, size_t count,
   YcsbGenerator gen(workload, keys_.size(), d.seed ^ 0x5ca1ab1e);
 
   BeginRun();
+  ReadOptions ropts;
+  ropts.stats = &read_stats_;
   std::string value;
   std::vector<std::pair<Key, std::string>> scan_out;
   std::vector<Key> pending;           // buffered kRead keys
@@ -221,8 +228,7 @@ Status Testbed::RunYcsb(YcsbWorkload workload, size_t count,
   auto flush_reads = [&]() -> Status {
     if (pending.empty()) return Status::OK();
     const uint64_t t0 = env->NowNanos();
-    Status s = db_->MultiGet(ReadOptions(), pending, &mg_values,
-                             &mg_statuses);
+    Status s = db_->MultiGet(ropts, pending, &mg_values, &mg_statuses);
     const double per_key = static_cast<double>(env->NowNanos() - t0) /
                            static_cast<double>(pending.size());
     for (size_t i = 0; i < pending.size(); i++) {
@@ -257,7 +263,7 @@ Status Testbed::RunYcsb(YcsbWorkload workload, size_t count,
     const uint64_t t0 = env->NowNanos();
     switch (op.type) {
       case YcsbOp::Type::kRead:
-        s = db_->Get(key, &value);
+        s = db_->Get(ropts, key, &value);
         if (s.IsNotFound()) s = Status::OK();  // fresh-insert race in D
         break;
       case YcsbOp::Type::kUpdate:
@@ -267,13 +273,13 @@ Status Testbed::RunYcsb(YcsbWorkload workload, size_t count,
         s = db_->Put(key, DeriveValue(key, d.value_size));
         break;
       case YcsbOp::Type::kScan: {
-        ReadOptions scan_opts;
+        ReadOptions scan_opts = ropts;
         scan_opts.readahead_blocks = d.readahead_blocks;
         s = db_->RangeLookup(scan_opts, key, op.scan_length, &scan_out);
         break;
       }
       case YcsbOp::Type::kReadModifyWrite:
-        s = db_->Get(key, &value);
+        s = db_->Get(ropts, key, &value);
         if (s.IsNotFound()) s = Status::OK();
         if (s.ok()) {
           s = db_->Put(key, DeriveValue(key + 1, d.value_size));

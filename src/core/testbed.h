@@ -97,6 +97,10 @@ class Testbed {
   std::vector<Key> keys_;
   std::vector<Key> pool_;         // disjoint keys for inserts / negatives
   uint64_t next_insert_seq_ = 0;  // distinct keys for write-only ingest
+  // Per-call sink of the measured reads: it times every lookup (the
+  // DB-wide sink samples its timers), and EndRun folds it into the run's
+  // snapshot.
+  Stats read_stats_;
   uint64_t io_reads_at_start_ = 0;
   uint64_t io_blocks_at_start_ = 0;
 };

@@ -246,8 +246,8 @@ class DBImpl final : public DB {
   }
 
   Status Get(const ReadOptions& ropts, Key key, std::string* value) override {
-    Stats* sink = EffectiveStats(ropts);
-    sink->Add(Counter::kPointLookups);
+    const OpStats sink = ReadSink(ropts);
+    sink.Add(Counter::kPointLookups);
     ReadView view = PinView(ropts.snapshot);
     Status s = GetFromView(view, key, value, sink, ropts.fill_cache);
     if (ropts.verify_found && (s.ok() || s.IsNotFound())) {
@@ -263,10 +263,10 @@ class DBImpl final : public DB {
   Status MultiGet(const ReadOptions& ropts, std::span<const Key> keys,
                   std::vector<std::string>* values,
                   std::vector<Status>* statuses) override {
-    Stats* sink = EffectiveStats(ropts);
+    const OpStats sink = ReadSink(ropts);
     ScopedTimer batch_timer(sink, Timer::kMultiGet, env_);
-    sink->Add(Counter::kMultiGetBatches);
-    sink->Add(Counter::kMultiGetKeys, keys.size());
+    sink.Add(Counter::kMultiGetBatches);
+    sink.Add(Counter::kMultiGetKeys, keys.size());
     values->assign(keys.size(), std::string());
     statuses->assign(keys.size(), Status::NotFound("not found"));
     if (keys.empty()) return Status::OK();
@@ -323,7 +323,8 @@ class DBImpl final : public DB {
 
   Status RangeLookup(const ReadOptions& ropts, Key start, size_t count,
                      std::vector<std::pair<Key, std::string>>* out) override {
-    EffectiveStats(ropts)->Add(Counter::kRangeLookups);
+    (ropts.stats != nullptr ? ropts.stats : &stats_)
+        ->Add(Counter::kRangeLookups);
     out->clear();
     out->reserve(count);
     auto iter = NewIterator(ropts);
@@ -581,9 +582,11 @@ class DBImpl final : public DB {
     view.version->Ref();
   }
 
-  /// ReadOptions::stats when set, the DB-wide sink otherwise.
-  Stats* EffectiveStats(const ReadOptions& ropts) const {
-    return ropts.stats != nullptr ? ropts.stats : &stats_;
+  /// The sink one Get or MultiGet records to: ReadOptions::stats, timing
+  /// every operation, when set; otherwise the DB-wide sink, which times a
+  /// sampled one operation in kTimerSampleRate and counts the rest.
+  OpStats ReadSink(const ReadOptions& ropts) const {
+    return ropts.stats != nullptr ? OpStats(ropts.stats) : stats_.SampleOp();
   }
 
   const Version* PinCurrentVersion() const {
@@ -668,7 +671,7 @@ class DBImpl final : public DB {
   /// L0 then register their reads on one batch, so they overlap.
   Status MultiGetFromView(const ReadView& view, std::span<const Key> keys,
                           std::vector<std::string>* values,
-                          std::vector<Status>* statuses, Stats* sink,
+                          std::vector<Status>* statuses, OpStats sink,
                           bool fill_cache) {
     const size_t n = keys.size();
     std::vector<uint32_t> order(n);
@@ -763,7 +766,7 @@ class DBImpl final : public DB {
           bounds = ModelCatalog::PredictInFile(*model, run_keys[r], run.file,
                                                &run_lo[r], &run_hi[r]);
         }
-        sink->Add(Counter::kTablesConsulted);
+        sink.Add(Counter::kTablesConsulted);
         Status s = table_cache_->GetReader(files[run.file].number,
                                            &run.reader);
         if (!s.ok()) return s;
@@ -787,7 +790,7 @@ class DBImpl final : public DB {
           ScopedTimer reap_timer(sink, Timer::kAsyncReap, env_);
           ws = batch->Wait();
         }
-        sink->Add(Counter::kAsyncBatches);
+        sink.Add(Counter::kAsyncBatches);
         if (!ws.ok()) return ws;
         for (Run& run : runs) {
           Status s = run.reader->FinishMultiGet(
@@ -810,7 +813,7 @@ class DBImpl final : public DB {
     // must finish before the next file is planned — hence inline.
     const std::vector<FileMeta>& l0 = v.files(0);
     if (remaining > 0 && !l0.empty()) {
-      const uint64_t level_start = env_->NowNanos();
+      const uint64_t level_start = sink.Start(env_);
       bool consulted = false;
       for (size_t f = 0; f < l0.size() && remaining > 0; f++) {
         clear_plan();
@@ -826,13 +829,13 @@ class DBImpl final : public DB {
         Status s = serve_runs(l0, /*model=*/nullptr, /*async=*/false);
         if (!s.ok()) return abort_with(s);
       }
-      if (consulted) sink->AddLevelRead(0, env_->NowNanos() - level_start);
+      if (consulted) sink.StopLevelRead(0, env_, level_start);
     }
 
     for (int level = 1; level < kNumLevels && remaining > 0; level++) {
       const std::vector<FileMeta>& files = v.files(level);
       if (files.empty()) continue;
-      const uint64_t level_start = env_->NowNanos();
+      const uint64_t level_start = sink.Start(env_);
 
       // Resolve the level model once for the whole batch (single-key Get
       // pays the catalog round-trip per lookup).
@@ -862,13 +865,13 @@ class DBImpl final : public DB {
       if (runs.empty()) continue;
       Status s = serve_runs(files, model.get(), options_.io_depth > 1);
       if (!s.ok()) return abort_with(s);
-      sink->AddLevelRead(level, env_->NowNanos() - level_start);
+      sink.StopLevelRead(level, env_, level_start);
     }
     return Status::OK();
   }
 
   Status GetFromView(const ReadView& view, Key key, std::string* value,
-                     Stats* sink, bool fill_cache) {
+                     OpStats sink, bool fill_cache) {
     {
       ScopedTimer timer(sink, Timer::kMemtableGet, env_);
       ValueType type;
@@ -886,46 +889,44 @@ class DBImpl final : public DB {
     const Version& v = *view.version;
 
     // Level 0: files may overlap; scan newest-first.
-    {
-      const uint64_t level_start = env_->NowNanos();
+    const std::vector<FileMeta>& l0 = v.files(0);
+    if (!l0.empty()) {
+      const uint64_t level_start = sink.Start(env_);
       bool consulted = false;
-      const std::vector<FileMeta>& l0 = v.files(0);
       for (size_t f = 0; f < l0.size(); f++) {
         if (key < l0[f].smallest || key > l0[f].largest) continue;
         consulted = true;
-        sink->Add(Counter::kTablesConsulted);
+        sink.Add(Counter::kTablesConsulted);
         bool found = false;
         uint64_t tag = 0;
         Status s = TableGetAtLevel(v, 0, f, key, value, &tag, &found, sink,
                                    fill_cache);
         if (!s.ok()) return s;
         if (found) {
-          sink->AddLevelRead(0, env_->NowNanos() - level_start);
+          sink.StopLevelRead(0, env_, level_start);
           return TagType(tag) == kTypeValue ? Status::OK()
                                             : Status::NotFound("deleted");
         }
       }
-      if (consulted) {
-        sink->AddLevelRead(0, env_->NowNanos() - level_start);
-      }
+      if (consulted) sink.StopLevelRead(0, env_, level_start);
     }
 
     for (int level = 1; level < kNumLevels; level++) {
       if (v.NumFiles(level) == 0) continue;
-      const uint64_t level_start = env_->NowNanos();
+      const uint64_t level_start = sink.Start(env_);
       int file_idx;
       {
         ScopedTimer timer(sink, Timer::kTableLookup, env_);
         file_idx = v.FindFile(level, key);
       }
       if (file_idx < 0) continue;
-      sink->Add(Counter::kTablesConsulted);
+      sink.Add(Counter::kTablesConsulted);
       bool found = false;
       uint64_t tag = 0;
       Status s = TableGetAtLevel(v, level, static_cast<size_t>(file_idx), key,
                                  value, &tag, &found, sink, fill_cache);
       if (!s.ok()) return s;
-      sink->AddLevelRead(level, env_->NowNanos() - level_start);
+      sink.StopLevelRead(level, env_, level_start);
       if (found) {
         return TagType(tag) == kTypeValue ? Status::OK()
                                           : Status::NotFound("deleted");
@@ -1654,7 +1655,7 @@ class DBImpl final : public DB {
   /// index for that lookup.
   Status TableGetAtLevel(const Version& v, int level, size_t file_idx,
                          Key key, std::string* value, uint64_t* tag,
-                         bool* found, Stats* sink, bool fill_cache) {
+                         bool* found, OpStats sink, bool fill_cache) {
     size_t lo = 0, hi = 0;
     bool bounds = false;
     if (level > 0 && level_models()) {

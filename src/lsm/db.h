@@ -127,9 +127,11 @@ struct ReadOptions {
   /// Per-call instrumentation sink. When non-null, every timer and counter
   /// this call would have recorded against DB::stats() goes here instead —
   /// callers attribute lookup stages (bloom, predict, disk, search) to one
-  /// request stream without tearing apart the DB-wide totals. Iterator
-  /// internals (block fetches during NewIterator scans) still record to
-  /// the DB-wide sink; see DESIGN.md.
+  /// request stream without tearing apart the DB-wide totals. A per-call
+  /// sink times every operation; the DB-wide sink samples its Get/MultiGet
+  /// stage timers (see DB::stats()). Iterator internals (block fetches
+  /// during NewIterator scans) still record to the DB-wide sink; see
+  /// DESIGN.md.
   Stats* stats = nullptr;
 
   /// Debug mode: cross-check every Get/MultiGet outcome against a
@@ -401,7 +403,13 @@ class DB {
   /// Measurement sink for all engine instrumentation. The Stats object is
   /// internally synchronized, so handing out a mutable pointer from a
   /// const DB is sound (observers read counters; benches Reset between
-  /// runs).
+  /// runs). A Get or MultiGet recording here (no ReadOptions::stats) times
+  /// its stages on one operation in kTimerSampleRate (16) per thread and
+  /// records those durations x16, so TimeNanos/MeanMicros/LevelReadNanos
+  /// are unbiased estimates; the other operations read no clock. Every
+  /// Counter, every TimerCount and every LevelReads stays exact. Model
+  /// builds, stitches, recovery, compactions and server queueing are
+  /// timed on every occurrence.
   virtual Stats* stats() const = 0;
 
   /// Destroys the database contents at `name` (files + directory).

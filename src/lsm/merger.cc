@@ -8,8 +8,10 @@ namespace lilsm {
 
 namespace {
 
-/// Straightforward N-way merge; N is the number of L0 files + levels and is
-/// small, so a linear minimum scan beats heap bookkeeping in practice.
+/// Straightforward N-way merge with a linear minimum scan. N is not small:
+/// DB iterators pass one child per memtable plus one per table file at
+/// every level (not one per level), so a settled tree of ~70 files makes
+/// every Next() scan ~70 children.
 class MergingIterator final : public TableIterator {
  public:
   explicit MergingIterator(std::vector<std::unique_ptr<TableIterator>> children)

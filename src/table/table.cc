@@ -271,7 +271,7 @@ Status TableReader::Open(const TableOptions& options,
 
 bool TableReader::ProbeCachedSpan(uint64_t byte_lo, uint64_t byte_hi,
                                   char* dst, std::vector<bool>* block_hit,
-                                  Stats* stats) {
+                                  OpStats stats) {
   BlockCache* cache = options_.block_cache.get();
   const uint64_t block = options_.io_block_size;
   // Blocks are cached at their canonical length min(block, data_size_ -
@@ -290,18 +290,16 @@ bool TableReader::ProbeCachedSpan(uint64_t byte_lo, uint64_t byte_hi,
     (*block_hit)[b] = true;
     hit_count++;
   }
-  if (stats != nullptr) {
-    stats->Add(hit_count == num_blocks ? Counter::kBlockCacheHits
-                                       : Counter::kBlockCacheMisses,
-               num_blocks);
-  }
+  stats.Add(hit_count == num_blocks ? Counter::kBlockCacheHits
+                                    : Counter::kBlockCacheMisses,
+            num_blocks);
   return hit_count == num_blocks;
 }
 
 void TableReader::CacheColdBlocks(uint64_t byte_lo, uint64_t byte_hi,
                                   const char* src,
                                   const std::vector<bool>& block_hit,
-                                  Stats* stats) {
+                                  OpStats stats) {
   BlockCache* cache = options_.block_cache.get();
   const uint64_t block = options_.io_block_size;
   uint64_t evicted = 0;
@@ -313,13 +311,11 @@ void TableReader::CacheColdBlocks(uint64_t byte_lo, uint64_t byte_hi,
     evicted += cache->Insert(options_.cache_file_number, offset,
                              src + b * block, block_len);
   }
-  if (stats != nullptr && evicted > 0) {
-    stats->Add(Counter::kBlockCacheEvictions, evicted);
-  }
+  if (evicted > 0) stats.Add(Counter::kBlockCacheEvictions, evicted);
 }
 
 Status TableReader::FetchAlignedCached(uint64_t byte_lo, uint64_t byte_hi,
-                                       char* dst, Stats* stats,
+                                       char* dst, OpStats stats,
                                        bool fill_cache) {
   // thread_local to amortize the allocation across fetches.
   thread_local std::vector<bool> block_hit;
@@ -349,14 +345,14 @@ Status TableReader::FetchAlignedCached(uint64_t byte_lo, uint64_t byte_hi,
 
 Status TableReader::ReadEntryRange(size_t lo, size_t hi, std::string* scratch,
                                    const char** base, size_t* first,
-                                   size_t* last, Stats* stats,
+                                   size_t* last, OpStats stats,
                                    bool fill_cache) {
   assert(lo <= hi && hi < count_);
   // Release-mode guard: a prediction from a corrupt or stale index blob
   // must clamp to the entry array instead of reading past the data region.
   if (hi >= count_) hi = count_ - 1;
   if (lo > hi) lo = hi;
-  if (stats == nullptr) stats = options_.stats;
+  if (!stats) stats = options_.stats;
   const uint64_t block = options_.io_block_size;
   uint64_t byte_lo = static_cast<uint64_t>(lo) * entry_size_;
   uint64_t byte_hi = static_cast<uint64_t>(hi + 1) * entry_size_;
@@ -428,20 +424,20 @@ Status TableReader::FindLowerBound(Key target, size_t* pos) {
   return Status::OK();
 }
 
-bool TableReader::MayContain(Key key, Stats* stats) {
-  if (stats == nullptr) stats = options_.stats;
+bool TableReader::MayContain(Key key, OpStats stats) {
+  if (!stats) stats = options_.stats;
   ScopedTimer timer(stats, Timer::kBloomCheck, options_.env);
   char bloom_buf[8];
   BloomFilterReader bloom{Slice(bloom_data_)};
   if (!bloom.KeyMayMatch(BloomKey(key, bloom_buf))) {
-    if (stats != nullptr) stats->Add(Counter::kBloomNegatives);
+    stats.Add(Counter::kBloomNegatives);
     return false;
   }
   return true;
 }
 
 void TableReader::EntryWindow(Key key, const size_t* bounds_lo,
-                              const size_t* bounds_hi, size_t i, Stats* stats,
+                              const size_t* bounds_hi, size_t i, OpStats stats,
                               size_t* lo, size_t* hi) const {
   if (bounds_lo != nullptr) {
     *lo = bounds_lo[i];
@@ -479,8 +475,8 @@ bool TableReader::SearchBuffer(const char* base, size_t first, size_t lo,
 Status TableReader::MultiGet(std::span<const Key> keys,
                              const size_t* bounds_lo, const size_t* bounds_hi,
                              std::string* values, uint64_t* tags, bool* founds,
-                             Stats* stats, bool fill_cache) {
-  if (stats == nullptr) stats = options_.stats;
+                             OpStats stats, bool fill_cache) {
+  if (!stats) stats = options_.stats;
   Env* env = options_.env;
 
   // Per-thread scratch instead of a reader member: concurrent lookups on
@@ -518,14 +514,14 @@ Status TableReader::MultiGet(std::span<const Key> keys,
     {
       // With a block cache the fetch may be served from memory, so the
       // disk-read timer moves inside FetchAlignedCached's pread branch (a
-      // null Stats* disables this outer timer); uncached, this outer scope
+      // null sink disables this outer timer); uncached, this outer scope
       // times the single pread.
-      ScopedTimer timer(options_.block_cache == nullptr ? stats : nullptr,
+      ScopedTimer timer(options_.block_cache == nullptr ? stats : OpStats(),
                         Timer::kDiskRead, env);
       Status s = ReadEntryRange(lo, hi, &scratch, &base, &buf_first,
                                 &buf_last, stats, fill_cache);
       if (!s.ok()) return s;
-      if (stats != nullptr) stats->Add(Counter::kSegmentsFetched);
+      stats.Add(Counter::kSegmentsFetched);
     }
     buffered = true;
     buf_first_key = EntryKeyInBuffer(base, buf_first, buf_first);
@@ -536,10 +532,8 @@ Status TableReader::MultiGet(std::span<const Key> keys,
       founds[i] =
           SearchBuffer(base, buf_first, lo, hi, key, &values[i], &tags[i]);
     }
-    if (stats != nullptr) {
-      stats->Add(founds[i] ? Counter::kBloomTruePositive
-                           : Counter::kBloomFalsePositive);
-    }
+    stats.Add(founds[i] ? Counter::kBloomTruePositive
+                        : Counter::kBloomFalsePositive);
   }
   return Status::OK();
 }
@@ -548,8 +542,8 @@ Status TableReader::PrepareMultiGet(std::span<const Key> keys,
                                     const size_t* bounds_lo,
                                     const size_t* bounds_hi, ReadBatch* batch,
                                     std::unique_ptr<PendingMultiGet>* pending,
-                                    Stats* stats, bool fill_cache) {
-  if (stats == nullptr) stats = options_.stats;
+                                    OpStats stats, bool fill_cache) {
+  if (!stats) stats = options_.stats;
   auto p = std::make_unique<PendingMultiGet>();
   p->keys_.assign(keys.begin(), keys.end());
   p->plans_.resize(keys.size());
@@ -604,7 +598,7 @@ Status TableReader::PrepareMultiGet(std::span<const Key> keys,
     span.req.n = len;
     span.req.scratch = span.buffer.data();
     batch->Add(&span.req);
-    if (stats != nullptr) stats->Add(Counter::kAsyncReads);
+    stats.Add(Counter::kAsyncReads);
   }
 
   *pending = std::move(p);
@@ -613,14 +607,14 @@ Status TableReader::PrepareMultiGet(std::span<const Key> keys,
 
 Status TableReader::FinishMultiGet(PendingMultiGet* pending,
                                    std::string* values, uint64_t* tags,
-                                   bool* founds, Stats* stats) {
-  if (stats == nullptr) stats = options_.stats;
+                                   bool* founds, OpStats stats) {
+  if (!stats) stats = options_.stats;
   Env* env = options_.env;
 
   // Check the reaped reads and insert the cold blocks under the Prepare
   // call's fill_cache, exactly as the synchronous fetch does.
   for (PendingMultiGet::Span& span : pending->spans_) {
-    if (stats != nullptr) stats->Add(Counter::kSegmentsFetched);
+    stats.Add(Counter::kSegmentsFetched);
     if (!span.needs_read) continue;
     if (!span.req.status.ok()) return span.req.status;
     const size_t len = static_cast<size_t>(span.byte_hi - span.byte_lo);
@@ -650,10 +644,8 @@ Status TableReader::FinishMultiGet(PendingMultiGet* pending,
       founds[i] = SearchBuffer(base, first_entry, plan.lo, plan.hi,
                                pending->keys_[i], &values[i], &tags[i]);
     }
-    if (stats != nullptr) {
-      stats->Add(founds[i] ? Counter::kBloomTruePositive
-                           : Counter::kBloomFalsePositive);
-    }
+    stats.Add(founds[i] ? Counter::kBloomTruePositive
+                        : Counter::kBloomFalsePositive);
   }
   return Status::OK();
 }

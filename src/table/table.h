@@ -167,15 +167,16 @@ class TableReader {
   /// OK status. `bounds_lo`/`bounds_hi` (both null or both non-null, one
   /// inclusive entry range per key) carry the predictions of a
   /// level-granularity model. `stats` (when non-null) receives this call's
-  /// instrumentation instead of the table's configured sink — the DB
-  /// threads ReadOptions::stats here. `fill_cache` = false serves from the
-  /// block cache but does not populate it on a miss
-  /// (ReadOptions::fill_cache). A key inside the key range of the
+  /// instrumentation instead of the table's configured sink, and says
+  /// whether this call is timed — the DB threads each Get/MultiGet's sink
+  /// here (ReadOptions::stats, or a sampled DB-wide handle). `fill_cache`
+  /// = false serves from the block cache but does not populate it on a
+  /// miss (ReadOptions::fill_cache). A key inside the key range of the
   /// previously fetched block needs no bloom probe, no index descent, and
   /// no disk read — the per-run amortization DB::MultiGet is built on.
   Status MultiGet(std::span<const Key> keys, const size_t* bounds_lo,
                   const size_t* bounds_hi, std::string* values,
-                  uint64_t* tags, bool* founds, Stats* stats,
+                  uint64_t* tags, bool* founds, OpStats stats,
                   bool fill_cache = true);
 
   /// Async MultiGet, phase 1: plans every key (range check, bloom, model
@@ -189,14 +190,14 @@ class TableReader {
   Status PrepareMultiGet(std::span<const Key> keys, const size_t* bounds_lo,
                          const size_t* bounds_hi, ReadBatch* batch,
                          std::unique_ptr<PendingMultiGet>* pending,
-                         Stats* stats, bool fill_cache = true);
+                         OpStats stats, bool fill_cache = true);
 
   /// Async MultiGet, phase 2 (after the batch's Wait): searches the
   /// fetched spans, fills values/tags/founds exactly like MultiGet, and
   /// inserts cold blocks into the block cache under the fill_cache given
   /// to PrepareMultiGet.
   Status FinishMultiGet(PendingMultiGet* pending, std::string* values,
-                        uint64_t* tags, bool* founds, Stats* stats);
+                        uint64_t* tags, bool* founds, OpStats stats);
 
   /// `fill_cache` = false keeps the iterator's block fetches from
   /// populating the block cache (scans and compaction inputs must not
@@ -251,7 +252,7 @@ class TableReader {
   /// `first` inside `scratch`.
   Status ReadEntryRange(size_t lo, size_t hi, std::string* scratch,
                         const char** base, size_t* first, size_t* last,
-                        Stats* stats = nullptr, bool fill_cache = true);
+                        OpStats stats = OpStats(), bool fill_cache = true);
 
   /// Entry-index lower bound via O(log n) single-entry probes; correctness
   /// fallback for Seek() when the model range does not bracket an absent
@@ -265,14 +266,14 @@ class TableReader {
   Status ReadEntryKey(size_t pos, Key* key);
   /// Bloom probe; false means the key is definitely absent. `stats` (may
   /// be null) overrides options_.stats for this call.
-  bool MayContain(Key key, Stats* stats);
+  bool MayContain(Key key, OpStats stats);
   /// Serves the aligned byte range [byte_lo, byte_hi) into `dst` through
   /// the block cache: all-hit spans copy out of the cache with zero Env
   /// reads; otherwise one pread fetches the whole span (the same single
   /// I/O the uncached path issues) and the missing blocks are inserted
   /// when `fill_cache` is set.
   Status FetchAlignedCached(uint64_t byte_lo, uint64_t byte_hi, char* dst,
-                            Stats* stats, bool fill_cache);
+                            OpStats stats, bool fill_cache);
   /// Cache probe of every io block of the aligned span [byte_lo, byte_hi),
   /// shared by the sync and async paths. Hit blocks are copied into `dst`
   /// and flagged in *block_hit. True (counting kBlockCacheHits) when every
@@ -281,16 +282,16 @@ class TableReader {
   /// whole, so hit% agrees with the Env-read savings instead of
   /// overstating them.
   bool ProbeCachedSpan(uint64_t byte_lo, uint64_t byte_hi, char* dst,
-                       std::vector<bool>* block_hit, Stats* stats);
+                       std::vector<bool>* block_hit, OpStats stats);
   /// After the span's read: inserts the blocks the probe missed from the
   /// fetched bytes at `src`, counting kBlockCacheEvictions.
   void CacheColdBlocks(uint64_t byte_lo, uint64_t byte_hi, const char* src,
-                       const std::vector<bool>& block_hit, Stats* stats);
+                       const std::vector<bool>& block_hit, OpStats stats);
   /// Inclusive entry window [*lo, *hi] for keys[i]: the caller's
   /// level-model bounds when given, else the file index's prediction
   /// (timed as kIndexPredict); clamped to the entry array either way.
   void EntryWindow(Key key, const size_t* bounds_lo, const size_t* bounds_hi,
-                   size_t i, Stats* stats, size_t* lo, size_t* hi) const;
+                   size_t i, OpStats stats, size_t* lo, size_t* hi) const;
   /// Binary search entries [lo, hi] inside a fetched buffer (`base` points
   /// at entry `first`) for the exact key; bloom hit/miss attribution is
   /// the caller's.

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "util/random.h"
+
 namespace lilsm {
 
 const char* TimerName(Timer t) {
@@ -152,10 +154,16 @@ uint64_t CellAt(const Array& array, int i) {
 
 }  // namespace
 
-size_t Stats::ShardIndex() {
-  thread_local const size_t idx =
-      next_shard.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return idx;
+size_t Stats::NextShardIndex() {
+  return next_shard.fetch_add(1, std::memory_order_relaxed) % kShards;
+}
+
+bool Stats::DrawSample() {
+  // Each thread seeds from its arrival order, so a single-threaded run
+  // samples the same operations every time.
+  static std::atomic<uint64_t> next_seed{0};
+  thread_local Random rng(next_seed.fetch_add(1, std::memory_order_relaxed));
+  return rng.OneIn(kTimerSampleRate);
 }
 
 void Stats::Reset() {
@@ -175,6 +183,22 @@ void Stats::CopyFrom(const Stats& other) {
     CopyCells(shards_[s].counters, other.shards_[s].counters);
     CopyCells(shards_[s].level_read_ns, other.shards_[s].level_read_ns);
     CopyCells(shards_[s].level_reads, other.shards_[s].level_reads);
+  }
+}
+
+void Stats::Merge(const Stats& other) {
+  auto add = [](auto& dst, const auto& src) {
+    for (size_t i = 0; i < src.size(); i++) {
+      dst[i].fetch_add(src[i].load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
+    }
+  };
+  for (int s = 0; s < kShards; s++) {
+    add(shards_[s].timer_ns, other.shards_[s].timer_ns);
+    add(shards_[s].timer_count, other.shards_[s].timer_count);
+    add(shards_[s].counters, other.shards_[s].counters);
+    add(shards_[s].level_read_ns, other.shards_[s].level_read_ns);
+    add(shards_[s].level_reads, other.shards_[s].level_reads);
   }
 }
 
