@@ -812,30 +812,51 @@ class DBImpl final : public DB {
     // the (still ascending) subset of unresolved keys in its range, and
     // must finish before the next file is planned — hence inline.
     const std::vector<FileMeta>& l0 = v.files(0);
-    if (remaining > 0 && !l0.empty()) {
-      const uint64_t level_start = sink.Start(env_);
-      bool consulted = false;
-      for (size_t f = 0; f < l0.size() && remaining > 0; f++) {
-        clear_plan();
-        for (uint32_t idx : order) {
-          if (done[idx]) continue;
-          const Key key = keys[idx];
-          if (key > l0[f].largest) break;  // ascending: the rest is past it
-          if (key < l0[f].smallest) continue;
-          add_key(idx, f);
-        }
-        if (runs.empty()) continue;
-        consulted = true;
-        Status s = serve_runs(l0, /*model=*/nullptr, /*async=*/false);
-        if (!s.ok()) return abort_with(s);
+    uint64_t l0_start = 0;
+    bool consulted = false;  // a level's read span opens at its first run
+    for (size_t f = 0; f < l0.size() && remaining > 0; f++) {
+      clear_plan();
+      for (uint32_t idx : order) {
+        if (done[idx]) continue;
+        const Key key = keys[idx];
+        if (key > l0[f].largest) break;  // ascending: the rest is past it
+        if (key < l0[f].smallest) continue;
+        add_key(idx, f);
       }
-      if (consulted) sink.StopLevelRead(0, env_, level_start);
+      if (runs.empty()) continue;
+      if (!consulted) {
+        consulted = true;
+        l0_start = sink.Start(env_);
+      }
+      Status s = serve_runs(l0, /*model=*/nullptr, /*async=*/false);
+      if (!s.ok()) return abort_with(s);
     }
+    if (consulted) sink.StopLevelRead(0, env_, l0_start);
 
     for (int level = 1; level < kNumLevels && remaining > 0; level++) {
       const std::vector<FileMeta>& files = v.files(level);
       if (files.empty()) continue;
-      const uint64_t level_start = sink.Start(env_);
+
+      // Walk files and sorted keys in lockstep (the batched equivalent of
+      // per-key FindFile), cutting a run at every file change. The I/O
+      // happens after, outside the kTableLookup timer.
+      clear_plan();
+      const uint64_t plan_start = sink.Start(env_);
+      size_t fi = 0;
+      for (uint32_t idx : order) {
+        if (done[idx]) continue;
+        const Key key = keys[idx];
+        while (fi < files.size() && files[fi].largest < key) fi++;
+        if (fi == files.size()) break;
+        if (key < files[fi].smallest) continue;
+        add_key(idx, fi);
+      }
+      const uint64_t plan_nanos =
+          sink.Stop(Timer::kTableLookup, env_, plan_start);
+      if (runs.empty()) continue;
+      // As in GetFromView: only a covered level records a read, over a
+      // span back-dated by its planning time.
+      const uint64_t level_start = sink.Start(env_) - plan_nanos;
 
       // Resolve the level model once for the whole batch (single-key Get
       // pays the catalog round-trip per lookup).
@@ -845,24 +866,6 @@ class DBImpl final : public DB {
                                            options_.index_type,
                                            options_.index_config);
       }
-
-      // Walk files and sorted keys in lockstep (the batched equivalent of
-      // per-key FindFile), cutting a run at every file change. The I/O
-      // happens after, outside the kTableLookup timer.
-      clear_plan();
-      {
-        ScopedTimer timer(sink, Timer::kTableLookup, env_);
-        size_t fi = 0;
-        for (uint32_t idx : order) {
-          if (done[idx]) continue;
-          const Key key = keys[idx];
-          while (fi < files.size() && files[fi].largest < key) fi++;
-          if (fi == files.size()) break;
-          if (key < files[fi].smallest) continue;
-          add_key(idx, fi);
-        }
-      }
-      if (runs.empty()) continue;
       Status s = serve_runs(files, model.get(), options_.io_depth > 1);
       if (!s.ok()) return abort_with(s);
       sink.StopLevelRead(level, env_, level_start);
@@ -890,36 +893,39 @@ class DBImpl final : public DB {
 
     // Level 0: files may overlap; scan newest-first.
     const std::vector<FileMeta>& l0 = v.files(0);
-    if (!l0.empty()) {
-      const uint64_t level_start = sink.Start(env_);
-      bool consulted = false;
-      for (size_t f = 0; f < l0.size(); f++) {
-        if (key < l0[f].smallest || key > l0[f].largest) continue;
+    uint64_t l0_start = 0;
+    bool consulted = false;  // a level's read span opens at its first file
+    for (size_t f = 0; f < l0.size(); f++) {
+      if (key < l0[f].smallest || key > l0[f].largest) continue;
+      if (!consulted) {
         consulted = true;
-        sink.Add(Counter::kTablesConsulted);
-        bool found = false;
-        uint64_t tag = 0;
-        Status s = TableGetAtLevel(v, 0, f, key, value, &tag, &found, sink,
-                                   fill_cache);
-        if (!s.ok()) return s;
-        if (found) {
-          sink.StopLevelRead(0, env_, level_start);
-          return TagType(tag) == kTypeValue ? Status::OK()
-                                            : Status::NotFound("deleted");
-        }
+        l0_start = sink.Start(env_);
       }
-      if (consulted) sink.StopLevelRead(0, env_, level_start);
+      sink.Add(Counter::kTablesConsulted);
+      bool found = false;
+      uint64_t tag = 0;
+      Status s = TableGetAtLevel(v, 0, f, key, value, &tag, &found, sink,
+                                 fill_cache);
+      if (!s.ok()) return s;
+      if (found) {
+        sink.StopLevelRead(0, env_, l0_start);
+        return TagType(tag) == kTypeValue ? Status::OK()
+                                          : Status::NotFound("deleted");
+      }
     }
+    if (consulted) sink.StopLevelRead(0, env_, l0_start);
 
     for (int level = 1; level < kNumLevels; level++) {
       if (v.NumFiles(level) == 0) continue;
-      const uint64_t level_start = sink.Start(env_);
-      int file_idx;
-      {
-        ScopedTimer timer(sink, Timer::kTableLookup, env_);
-        file_idx = v.FindFile(level, key);
-      }
+      const uint64_t find_start = sink.Start(env_);
+      const int file_idx = v.FindFile(level, key);
+      const uint64_t find_nanos =
+          sink.Stop(Timer::kTableLookup, env_, find_start);
       if (file_idx < 0) continue;
+      // Only a covered level records a read. Its span opens here, back-dated
+      // by the FindFile time just measured: it still covers the search, and
+      // every span the Get records costs exactly two clock reads.
+      const uint64_t level_start = sink.Start(env_) - find_nanos;
       sink.Add(Counter::kTablesConsulted);
       bool found = false;
       uint64_t tag = 0;
@@ -1413,14 +1419,15 @@ class DBImpl final : public DB {
       }
     }
     std::sort(wals.begin(), wals.end());
+    // One record buffer and one batch serve every record of every log.
+    std::string record;
+    WriteBatch batch;
     for (uint64_t number : wals) {
       std::unique_ptr<SequentialFile> file;
       s = env_->NewSequentialFile(WalFileName(dbname_, number), &file);
       if (!s.ok()) return s;
       LogReader reader(std::move(file));
-      std::string record;
       while (reader.ReadRecord(&record)) {
-        WriteBatch batch;
         s = WriteBatch::SetContents(&batch, record);
         if (!s.ok()) return s;
         const SequenceNumber seq = WriteBatch::Sequence(batch);

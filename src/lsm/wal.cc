@@ -14,10 +14,6 @@ namespace {
 /// damaged header, not a real record.
 constexpr uint32_t kMaxRecordLength = 1u << 30;
 
-/// Payload read granularity; bounds what a record allocates beyond the
-/// bytes actually present in the file.
-constexpr size_t kReadChunk = 64 << 10;
-
 }  // namespace
 
 Status LogWriter::AddRecord(const Slice& record) {
@@ -30,47 +26,39 @@ Status LogWriter::AddRecord(const Slice& record) {
   return file_->Append(record);
 }
 
-/// Accumulates up to `n` bytes into `scratch`, looping over short reads
-/// so a result shorter than `n` reliably means end-of-file — the fact
-/// the torn-tail classification rests on.
-Status LogReader::ReadFully(size_t n, Slice* result, char* scratch) {
-  size_t got = 0;
-  while (got < n) {
-    Slice chunk;
-    Status s = file_->Read(n - got, &chunk, scratch + got);
-    if (!s.ok()) return s;
-    if (chunk.empty()) break;
-    if (chunk.data() != scratch + got) {
-      std::memmove(scratch + got, chunk.data(), chunk.size());
+/// Replaces the drained buffer with the next block of the file: one Read
+/// of up to kBlockSize bytes. An empty buffer afterwards means end-of-file.
+Status LogReader::FillBuffer() {
+  Status s = file_->Read(kBlockSize, &buffer_, backing_.get());
+  if (!s.ok()) buffer_ = Slice();
+  return s;
+}
+
+/// Consumes up to `n` bytes of the stream, refilling the buffer as it
+/// drains, and hands each buffered piece to `take`. Sets *got to the bytes
+/// consumed: fewer than `n` reliably means end-of-file (a short Read is
+/// not), the fact the torn-tail classification rests on.
+template <typename Take>
+Status LogReader::Consume(uint64_t n, uint64_t* got, Take&& take) {
+  *got = 0;
+  while (*got < n) {
+    if (buffer_.empty()) {
+      Status s = FillBuffer();
+      if (!s.ok()) return s;
+      if (buffer_.empty()) break;
     }
-    got += chunk.size();
+    const size_t piece =
+        static_cast<size_t>(std::min<uint64_t>(n - *got, buffer_.size()));
+    take(Slice(buffer_.data(), piece));
+    buffer_.remove_prefix(piece);
+    *got += piece;
   }
-  *result = Slice(scratch, got);
   return Status::OK();
 }
 
 bool LogReader::AtEof() {
-  char byte;
-  Slice probe;
-  Status s = file_->Read(1, &probe, &byte);
-  return s.ok() && probe.empty();
-}
-
-/// Consumes the stream to decide whether fewer than `length` bytes
-/// remain. Bounded scratch: the garbage length is never allocated.
-bool LogReader::EofWithin(uint64_t length) {
-  char buf[4096];
-  uint64_t remaining = length;
-  while (remaining > 0) {
-    Slice chunk;
-    Status s = file_->Read(
-        static_cast<size_t>(std::min<uint64_t>(remaining, sizeof(buf))),
-        &chunk, buf);
-    if (!s.ok()) return false;
-    if (chunk.empty()) return true;
-    remaining -= chunk.size();
-  }
-  return false;
+  if (!buffer_.empty()) return false;
+  return FillBuffer().ok() && buffer_.empty();
 }
 
 LogReadStatus LogReader::Read(std::string* record) {
@@ -81,36 +69,38 @@ LogReadStatus LogReader::Read(std::string* record) {
 
 LogReadStatus LogReader::ReadInternal(std::string* record) {
   char header[8];
-  Slice contents;
-  Status s = ReadFully(8, &contents, header);
-  if (!s.ok() || contents.size() == 0) {
+  char* fill = header;
+  uint64_t got = 0;
+  Status s = Consume(sizeof(header), &got, [&fill](const Slice& piece) {
+    std::memcpy(fill, piece.data(), piece.size());
+    fill += piece.size();
+  });
+  if (!s.ok() || got == 0) {
     return LogReadStatus::kEof;  // clean end of log
   }
-  if (contents.size() < 8) {
+  if (got < sizeof(header)) {
     return LogReadStatus::kTornTail;  // EOF inside the header
   }
-  const uint32_t expected_crc = crc32c::Unmask(DecodeFixed32(contents.data()));
-  const uint32_t length = DecodeFixed32(contents.data() + 4);
+  const uint32_t expected_crc = crc32c::Unmask(DecodeFixed32(header));
+  const uint32_t length = DecodeFixed32(header + 4);
   if (length > kMaxRecordLength) {
     // Garbage length field. If the file ends before the claimed payload,
     // this is the scribbled final record of a crash; if that many valid
-    // bytes actually follow, the header itself was damaged in place.
-    return EofWithin(length) ? LogReadStatus::kTornTail
-                             : LogReadStatus::kCorruption;
+    // bytes actually follow, the header itself was damaged in place. The
+    // claimed bytes are skipped, never allocated.
+    s = Consume(length, &got, [](const Slice&) {});
+    return s.ok() && got < length ? LogReadStatus::kTornTail
+                                  : LogReadStatus::kCorruption;
   }
-  // Grow the record only as its bytes arrive: a garbage length just under
-  // the cap must not allocate (and zero-fill) a gigabyte for a payload the
-  // file does not hold.
+  // Grow the record only as its bytes arrive, at most a buffered block at
+  // a time: a garbage length just under the cap must not allocate a
+  // gigabyte for a payload the file does not hold.
   record->clear();
-  while (record->size() < length) {
-    const size_t got = record->size();
-    const size_t want = std::min<size_t>(length - got, kReadChunk);
-    record->resize(got + want);
-    Slice chunk;
-    s = ReadFully(want, &chunk, record->data() + got);
-    if (!s.ok() || chunk.size() < want) {
-      return LogReadStatus::kTornTail;  // EOF inside the payload
-    }
+  s = Consume(length, &got, [record](const Slice& piece) {
+    record->append(piece.data(), piece.size());
+  });
+  if (!s.ok() || got < length) {
+    return LogReadStatus::kTornTail;  // EOF inside the payload
   }
   if (crc32c::Value(record->data(), record->size()) != expected_crc) {
     // Full payload, bad checksum. On the final record this is the torn

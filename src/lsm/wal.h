@@ -7,6 +7,14 @@
 // beyond it is mid-log corruption: committed data after it would be lost,
 // so recovery must fail rather than silently truncate history.
 //
+// Replay reads the file in kBlockSize blocks through one buffer the reader
+// owns, so a log costs one SequentialFile::Read per 64 KiB (plus the empty
+// read that proves end-of-file) whatever its record count, in every Env.
+// Records are not aligned to blocks: a header or payload that straddles a
+// block boundary is stitched from two reads. The buffer changes only how
+// bytes arrive, never how a log ends: end-of-file is still an empty Read,
+// and each classification above is decided on the same byte stream.
+//
 // Concurrency contract: LogWriter/LogReader are single-threaded objects;
 // the engine guarantees one appender at a time. The appender is the DB's
 // writer-queue LEADER, which appends with the DB mutex RELEASED — being at
@@ -56,8 +64,13 @@ enum class LogReadStatus {
 
 class LogReader {
  public:
+  /// Bytes asked of the file per Read. A payload grows only by the bytes
+  /// each Read delivers, so what a garbage length allocates is bounded by
+  /// what the file actually holds.
+  static constexpr size_t kBlockSize = 64 << 10;
+
   explicit LogReader(std::unique_ptr<SequentialFile> file)
-      : file_(std::move(file)) {}
+      : file_(std::move(file)), backing_(new char[kBlockSize]) {}
 
   LogReader(const LogReader&) = delete;
   LogReader& operator=(const LogReader&) = delete;
@@ -88,11 +101,14 @@ class LogReader {
 
  private:
   LogReadStatus ReadInternal(std::string* record);
-  Status ReadFully(size_t n, Slice* result, char* scratch);
+  Status FillBuffer();
+  template <typename Take>
+  Status Consume(uint64_t n, uint64_t* got, Take&& take);
   bool AtEof();
-  bool EofWithin(uint64_t length);
 
   std::unique_ptr<SequentialFile> file_;
+  std::unique_ptr<char[]> backing_;  // kBlockSize bytes of read scratch
+  Slice buffer_;                     // unconsumed bytes of the last Read
   LogReadStatus last_ = LogReadStatus::kOk;
 };
 

@@ -224,13 +224,16 @@ class OpStats {
   /// without reading it.
   uint64_t Start(Env* env) const { return timed() ? env->NowNanos() : 0; }
   /// Ends a span begun at `start` (from Start) as one event of `t`.
-  void Stop(Timer t, Env* env, uint64_t start) const {
-    if (stats_ == nullptr) return;
+  /// Returns the span's unscaled length when timed, else 0.
+  uint64_t Stop(Timer t, Env* env, uint64_t start) const {
+    if (stats_ == nullptr) return 0;
     if (time_scale_ == 0) {
       stats_->AddTimerCount(t);
-    } else {
-      stats_->AddTime(t, (env->NowNanos() - start) * time_scale_);
+      return 0;
     }
+    const uint64_t nanos = env->NowNanos() - start;
+    stats_->AddTime(t, nanos * time_scale_);
+    return nanos;
   }
   /// Ends a span begun at `start` as one read of `level`.
   void StopLevelRead(int level, Env* env, uint64_t start) const {

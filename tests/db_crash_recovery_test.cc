@@ -21,6 +21,8 @@
 
 #include "lsm/db.h"
 #include "lsm/dbformat.h"
+#include "lsm/wal.h"
+#include "lsm/write_batch.h"
 #include "table/format.h"
 #include "tests/test_util.h"
 #include "util/fault_env.h"
@@ -136,6 +138,97 @@ TEST(DbCrashTortureTest, SerialSchedulesRecoverAPrefix) {
   const int schedules = Schedules();
   for (int i = 0; i < schedules; i++) {
     RunSerialSchedule(0x5EED0000u + static_cast<uint64_t>(i));
+    if (::testing::Test::HasFatalFailure()) {
+      FAIL() << "stopping after first divergent schedule";
+    }
+  }
+}
+
+// Read-block schedule: a memtable too large to flush, so the whole
+// schedule lives in one WAL, written as batches of 1..64 Puts with now and
+// then one larger than a read block. Power is cut once the log spans at
+// least three of the reader's read blocks: half the cuts land within 32
+// bytes of the third or fourth block boundary, the rest anywhere past the
+// third. A torn unsynced suffix (kRandomPrefix) then cuts the log anywhere
+// before that, so replay meets records torn at and across every boundary
+// it stitches. The recovered keys must still be an exact prefix.
+void RunBlockSpanSchedule(uint64_t seed) {
+  constexpr uint64_t kBlock = LogReader::kBlockSize;
+  Random rnd(seed);
+  ScratchDir dir("crashblk");
+  FaultEnv env(Env::Default());
+  const std::string dbname = dir.file("db");
+  DBOptions options;
+  options.env = &env;
+  options.key_size = 24;
+  options.value_size = kValueSize;
+  options.write_buffer_size = 8 << 20;
+  const bool sync = rnd.OneIn(2);
+  const uint64_t wal_target = 4 * kBlock + rnd.Uniform(kBlock);
+
+  uint64_t acked = 0;
+  uint64_t attempted = 0;
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_LILSM_OK(DB::Open(options, dbname, &db));
+    // Nothing flushes, so every byte appended from here on is WAL.
+    if (rnd.OneIn(2)) {
+      const uint64_t boundary = kBlock * (3 + rnd.Uniform(2));
+      env.SetFailAfterBytes(boundary - 32 + rnd.Uniform(65));
+    } else {
+      env.SetFailAfterBytes(3 * kBlock + rnd.Uniform(wal_target - 3 * kBlock));
+    }
+    WriteOptions wopts;
+    wopts.sync = sync;
+    uint64_t logged = 0;
+    while (logged < wal_target) {
+      const uint64_t n =
+          rnd.OneIn(200) ? 3000 + rnd.Uniform(2000) : 1 + rnd.Uniform(64);
+      WriteBatch batch;
+      for (uint64_t k = acked; k < acked + n; k++) {
+        batch.Put(k, ValueAt(k, k));
+      }
+      logged += 8 + batch.ApproximateSize();
+      attempted = acked + n;
+      if (!db->Write(wopts, &batch).ok()) break;
+      acked = attempted;
+    }
+    ASSERT_EQ(db->NumFilesAtLevel(0), 0) << "schedule " << seed;
+    env.CutPower();
+  }
+  ASSERT_LILSM_OK(
+      env.MaterializeCrash(static_cast<CrashSurvival>(rnd.Uniform(3)),
+                           rnd.Next()));
+
+  std::unique_ptr<DB> db;
+  Status open_status = DB::Open(options, dbname, &db);
+  ASSERT_TRUE(open_status.ok()) << "schedule " << seed << " failed to recover: "
+                                << open_status.ToString();
+  uint64_t p = 0;
+  std::string value;
+  while (p < attempted) {
+    Status s = db->Get(p, &value);
+    if (s.IsNotFound()) break;
+    ASSERT_TRUE(s.ok()) << "schedule " << seed << " key " << p << ": "
+                        << s.ToString();
+    ASSERT_EQ(value, ValueAt(p, p))
+        << "schedule " << seed << " recovered a wrong value for key " << p;
+    p++;
+  }
+  for (uint64_t k = p; k < attempted + 4; k++) {
+    ASSERT_TRUE(db->Get(k, &value).IsNotFound())
+        << "schedule " << seed << ": key " << k
+        << " survived past the recovery prefix p=" << p;
+  }
+  ASSERT_GE(p, sync ? acked : 0)
+      << "schedule " << seed << " lost acked synced writes (acked=" << acked
+      << ")";
+}
+
+TEST(DbCrashTortureTest, BlockSpanningWalSchedulesRecoverAPrefix) {
+  const int schedules = std::max(Schedules() / 20, 5);
+  for (int i = 0; i < schedules; i++) {
+    RunBlockSpanSchedule(0xB10C0000u + static_cast<uint64_t>(i));
     if (::testing::Test::HasFatalFailure()) {
       FAIL() << "stopping after first divergent schedule";
     }

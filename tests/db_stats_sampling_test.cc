@@ -252,6 +252,18 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+/// Every span `stats` recorded: timer events plus level reads.
+uint64_t RecordedSpans(const Stats& stats) {
+  uint64_t spans = 0;
+  for (int t = 0; t < static_cast<int>(Timer::kNumTimers); t++) {
+    spans += stats.TimerCount(static_cast<Timer>(t));
+  }
+  for (int level = 0; level < Stats::kMaxLevels; level++) {
+    spans += stats.LevelReads(level);
+  }
+  return spans;
+}
+
 constexpr Timer kReadStages[] = {Timer::kMemtableGet,  Timer::kTableLookup,
                                  Timer::kBloomCheck,   Timer::kIndexPredict,
                                  Timer::kDiskRead,     Timer::kBinarySearch};
@@ -299,10 +311,12 @@ TEST(StatsSamplingCostTest, UntimedGetsReadNoClockAndScaledTimesAreUnbiased) {
   const Stats db_wide = *db->stats();
 
   // A per-call sink times every stage of every Get, exactly as every Get
-  // did before the DB-wide sink sampled: this tree's mix costs 25.01 clock
-  // reads per Get. The DB-wide sink times one Get in kTimerSampleRate and
-  // reads no clock on the rest, so its mean is about 25 / 16.
-  EXPECT_EQ(call_reads, 3277767u);
+  // did before the DB-wide sink sampled: this tree's mix costs 24.38 clock
+  // reads per Get, two for each span recorded — a level no file covers
+  // opens no span. The DB-wide sink times one Get in kTimerSampleRate and
+  // reads no clock on the rest, so its mean is about 24 / 16.
+  EXPECT_EQ(call_reads, 3195798u);
+  EXPECT_EQ(call_reads, 2 * RecordedSpans(per_call));
   EXPECT_LE(db_wide_reads, 2.0);
   EXPECT_GT(db_wide_reads, 0.0);
 
@@ -321,6 +335,46 @@ TEST(StatsSamplingCostTest, UntimedGetsReadNoClockAndScaledTimesAreUnbiased) {
                 0.10 * exact)
         << "level " << level;
   }
+}
+
+// MultiGet records the same way: a level that none of a batch's keys falls
+// in opens no span, so a per-call sink reads exactly two clocks per span.
+TEST(StatsSamplingCostTest, MultiGetReadsTwoClocksPerSpan) {
+  ScratchDir dir("sampling_multiget");
+  SteppingClockEnv env;
+  std::unique_ptr<DB> db;
+  ASSERT_LILSM_OK(DB::Open(TreeOptions(&env), dir.path(), &db));
+  const std::vector<Key> keys = EvenKeys(20000, 31);
+  BuildTree(db.get(), keys);
+
+  // Four-key batches with one absent key each, then one batch past the
+  // last key of every file.
+  std::vector<std::vector<Key>> batches;
+  Random rnd(53);
+  for (int b = 0; b < 4000; b++) {
+    std::vector<Key> batch;
+    for (int i = 0; i < 4; i++) {
+      const Key key = keys[rnd.Uniform(keys.size())];
+      batch.push_back(i == 3 ? key + 1 : key);
+    }
+    batches.push_back(std::move(batch));
+  }
+  batches.push_back({keys.back() + 2});
+
+  Stats per_call;
+  ReadOptions ropts;
+  ropts.stats = &per_call;
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  for (int pass = 0; pass < 2; pass++) {  // the first pass opens readers
+    per_call.Reset();
+    env.ResetClockReads();
+    for (const std::vector<Key>& batch : batches) {
+      ASSERT_LILSM_OK(db->MultiGet(ropts, batch, &values, &statuses));
+    }
+  }
+  EXPECT_GT(per_call.LevelReads(0), 0u);
+  EXPECT_EQ(env.clock_reads(), 2 * RecordedSpans(per_call));
 }
 
 // An empty L0 costs no clock read: with every key in one level below it,
@@ -346,15 +400,8 @@ TEST(StatsSamplingCostTest, EmptyLevel0ReadsNoClock) {
       ASSERT_LILSM_OK(db->Get(ropts, keys[i], &value));
     }
   }
-  uint64_t spans = 0;
-  for (int t = 0; t < static_cast<int>(Timer::kNumTimers); t++) {
-    spans += per_call.TimerCount(static_cast<Timer>(t));
-  }
-  for (int level = 0; level < Stats::kMaxLevels; level++) {
-    spans += per_call.LevelReads(level);
-  }
   EXPECT_EQ(per_call.LevelReads(0), 0u);
-  EXPECT_EQ(env.clock_reads(), 2 * spans);
+  EXPECT_EQ(env.clock_reads(), 2 * RecordedSpans(per_call));
 }
 
 }  // namespace
