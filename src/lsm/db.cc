@@ -249,7 +249,11 @@ class DBImpl final : public DB {
     const OpStats sink = ReadSink(ropts);
     sink.Add(Counter::kPointLookups);
     ReadView view = PinView(ropts.snapshot);
-    Status s = GetFromView(view, key, value, sink, ropts.fill_cache);
+    // A one-key MultiGet; an I/O failure lands in `s` like any unserved
+    // key's status.
+    Status s = Status::NotFound("not found");
+    MultiGetFromView(view, std::span<const Key>(&key, 1), value, &s, sink,
+                     ropts.fill_cache);
     if (ropts.verify_found && (s.ok() || s.IsNotFound())) {
       RefView(view);
       auto ref = NewIteratorOverView(view, /*fill_cache=*/false);
@@ -272,8 +276,8 @@ class DBImpl final : public DB {
     if (keys.empty()) return Status::OK();
 
     ReadView view = PinView(ropts.snapshot);
-    Status s = MultiGetFromView(view, keys, values, statuses, sink,
-                                ropts.fill_cache);
+    Status s = MultiGetFromView(view, keys, values->data(), statuses->data(),
+                                sink, ropts.fill_cache);
     if (s.ok() && ropts.verify_found) {
       RefView(view);
       auto ref = NewIteratorOverView(view, /*fill_cache=*/false);
@@ -660,41 +664,108 @@ class DBImpl final : public DB {
     return Status::OK();
   }
 
-  /// The MultiGet core: serves a batch against one pinned view. Sorts the
-  /// batch, drains memtable hits, then for every level groups the
-  /// remaining keys into per-table runs so each table's reader fetch,
-  /// bloom filter, and learned index are consulted per run (the reader
-  /// additionally reuses its fetched block across a run). Under
-  /// kLevel granularity the level model is resolved once per level and
-  /// its per-key predictions are handed to the reader as bounds. Each
-  /// level is planned once; with io_depth > 1 the runs of a level below
-  /// L0 then register their reads on one batch, so they overlap.
-  Status MultiGetFromView(const ReadView& view, std::span<const Key> keys,
-                          std::vector<std::string>* values,
-                          std::vector<Status>* statuses, OpStats sink,
-                          bool fill_cache) {
-    const size_t n = keys.size();
-    std::vector<uint32_t> order(n);
-    for (uint32_t i = 0; i < n; i++) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&keys](uint32_t a, uint32_t b) {
-                       return keys[a] < keys[b];
-                     });
+  /// Per-thread buffers of the lookup core, reused by every Get and
+  /// MultiGet on the thread, so a warm one-key lookup allocates nothing.
+  /// Between calls they hold no TableReader reference, and at most a
+  /// batch of kRetainedBatch keys' worth of memory (the server clients'
+  /// default batch; freeing the buffers after every call fragments the
+  /// heap around block-cache inserts).
+  static constexpr size_t kRetainedBatch = 256;
+  struct LookupScratch {
+    /// One run of a level's plan: ascending keys bound for one table.
+    struct Run {
+      size_t file = 0;            // index into the level's file list
+      size_t begin = 0, end = 0;  // [begin, end) of the flat arrays
+      std::shared_ptr<TableReader> reader;
+    };
 
-    std::vector<uint8_t> done(n, 0);
+    std::vector<uint32_t> order;
+    std::vector<uint8_t> done;
+    std::vector<Run> runs;
+    std::vector<PendingMultiGet> pending;  // pending[r] serves runs[r]
+    std::vector<uint32_t> run_idx;
+    std::vector<Key> run_keys;
+    std::vector<size_t> run_lo, run_hi;
+    std::vector<std::string> run_values;  // hits swap buffers with outputs
+    std::vector<uint64_t> run_tags;
+    std::unique_ptr<bool[]> run_found;
+    size_t run_found_size = 0;
+
+    /// Sizes the per-key run arrays for `total` keys and the planned runs.
+    void Reserve(size_t total, bool bounds) {
+      if (run_values.size() < total) run_values.resize(total);
+      if (run_tags.size() < total) run_tags.resize(total);
+      if (bounds && run_lo.size() < total) {
+        run_lo.resize(total);
+        run_hi.resize(total);
+      }
+      if (run_found_size < total) {
+        run_found.reset(new bool[total]);
+        run_found_size = total;
+      }
+      if (pending.size() < runs.size()) pending.resize(runs.size());
+    }
+  };
+
+  static LookupScratch& ThreadLookupScratch() {
+    thread_local LookupScratch scratch;
+    return scratch;
+  }
+
+  /// The lookup core behind Get (one key) and MultiGet: serves keys[]
+  /// against one pinned view into values[i]/statuses[i], whose statuses
+  /// start as NotFound. Sorts the keys, drains memtable hits, then for
+  /// every level groups the remaining keys into per-table runs so each
+  /// table's bloom filter, learned index and fetched spans are consulted
+  /// per run. Under kLevel granularity the level model is resolved once
+  /// per level and its per-key predictions are handed to the reader as
+  /// bounds. A level with io_depth > 1 and at least two runs registers
+  /// their reads on one batch, so they overlap; any other plan reads
+  /// inline. An environmental failure aborts: every key not yet served
+  /// carries it, and it is returned.
+  Status MultiGetFromView(const ReadView& view, std::span<const Key> keys,
+                          std::string* values, Status* statuses, OpStats sink,
+                          bool fill_cache) {
+    LookupScratch& scratch = ThreadLookupScratch();
+    const size_t n = keys.size();
+    // On every exit, drop the plan's reader references and, after a larger
+    // batch, the buffers it grew.
+    struct Release {
+      LookupScratch* scratch;
+      bool large;
+      ~Release() {
+        if (large) {
+          *scratch = LookupScratch();
+        } else {
+          scratch->runs.clear();
+        }
+      }
+    } release{&scratch, n > kRetainedBatch};
+    std::vector<uint32_t>& order = scratch.order;
+    order.resize(n);
+    for (uint32_t i = 0; i < n; i++) order[i] = i;
+    if (n > 1) {
+      // Ties by position: stable_sort's order, without the buffer it
+      // allocates.
+      std::sort(order.begin(), order.end(), [&keys](uint32_t a, uint32_t b) {
+        return keys[a] < keys[b] || (keys[a] == keys[b] && a < b);
+      });
+    }
+
+    std::vector<uint8_t>& done = scratch.done;
+    done.assign(n, 0);
     size_t remaining = n;
-    // An environmental failure aborts the batch: keys never served must
-    // not read as NotFound (db.h contract) — they carry the error.
+    // Keys never served must not read as NotFound (db.h contract) — they
+    // carry the error.
     auto abort_with = [&](const Status& s) {
       for (uint32_t i = 0; i < n; i++) {
-        if (!done[i]) (*statuses)[i] = s;
+        if (!done[i]) statuses[i] = s;
       }
       return s;
     };
     auto resolve = [&](uint32_t idx, bool deleted) {
-      (*statuses)[idx] =
-          deleted ? Status::NotFound("deleted") : Status::OK();
-      if (deleted) (*values)[idx].clear();
+      statuses[idx] = deleted ? Status::NotFound("deleted") : Status::OK();
+      if (deleted) values[idx].clear();
       done[idx] = 1;
       remaining--;
     };
@@ -704,7 +775,7 @@ class DBImpl final : public DB {
       for (uint32_t idx : order) {
         const Key key = keys[idx];
         ValueType type;
-        std::string* out = &(*values)[idx];
+        std::string* out = &values[idx];
         if (view.mem->Get(key, view.seq, out, &type) ||
             (view.imm != nullptr &&
              view.imm->Get(key, view.seq, out, &type))) {
@@ -713,22 +784,9 @@ class DBImpl final : public DB {
       }
     }
 
-    // One level's plan: runs of ascending keys, one per consulted table,
-    // over flat arrays that every level reuses without shrinking.
-    struct Run {
-      size_t file = 0;              // index into the level's file list
-      size_t begin = 0, end = 0;    // [begin, end) of the flat arrays
-      std::shared_ptr<TableReader> reader;
-      std::unique_ptr<PendingMultiGet> pending;
-    };
-    std::vector<Run> runs;
-    std::vector<uint32_t> run_idx;
-    std::vector<Key> run_keys;
-    std::vector<size_t> run_lo, run_hi;
-    std::vector<std::string> run_values;
-    std::vector<uint64_t> run_tags;
-    std::unique_ptr<bool[]> run_found(new bool[n]);
-
+    std::vector<LookupScratch::Run>& runs = scratch.runs;
+    std::vector<uint32_t>& run_idx = scratch.run_idx;
+    std::vector<Key>& run_keys = scratch.run_keys;
     auto clear_plan = [&]() {
       runs.clear();
       run_idx.clear();
@@ -737,54 +795,47 @@ class DBImpl final : public DB {
     /// Appends key `idx` to the plan, opening a run when `file` changes.
     auto add_key = [&](uint32_t idx, size_t file) {
       if (runs.empty() || runs.back().file != file) {
-        runs.push_back(Run{file, run_keys.size(), run_keys.size(), {}, {}});
+        runs.push_back({file, run_keys.size(), run_keys.size(), nullptr});
       }
       runs.back().end++;
       run_idx.push_back(idx);
       run_keys.push_back(keys[idx]);
     };
     /// Serves the planned runs against `files` and resolves their hits:
-    /// inline through each reader's MultiGet, or (`async`) Prepare every
-    /// run on one read batch, Wait once, then Finish every run. `model`
-    /// (may be null) supplies each run's level-model windows; a run with
-    /// any key the model cannot place falls back to the per-file index.
+    /// Prepare every run (on one read batch, Waited once, when the level
+    /// has reads to overlap), then Finish every run. `model` (may be null)
+    /// supplies each run's level-model windows; a run with any key the
+    /// model cannot place falls back to the per-file index.
     auto serve_runs = [&](const std::vector<FileMeta>& files,
-                          const LevelModel* model, bool async) -> Status {
+                          const LevelModel* model) -> Status {
       const size_t total = run_keys.size();
-      run_values.assign(total, std::string());
-      run_tags.assign(total, 0);
-      std::fill(run_found.get(), run_found.get() + total, false);
-      if (model != nullptr) {
-        run_lo.resize(total);
-        run_hi.resize(total);
-      }
+      scratch.Reserve(total, model != nullptr);
+      bool* found = scratch.run_found.get();
       std::unique_ptr<ReadBatch> batch =
-          async ? env_->NewReadBatch(options_.io_depth) : nullptr;
-      for (Run& run : runs) {
+          options_.io_depth > 1 && runs.size() > 1
+              ? env_->NewReadBatch(options_.io_depth)
+              : nullptr;
+      for (size_t r = 0; r < runs.size(); r++) {
+        LookupScratch::Run& run = runs[r];
         bool bounds = model != nullptr;
-        for (size_t r = run.begin; r < run.end && bounds; r++) {
-          bounds = ModelCatalog::PredictInFile(*model, run_keys[r], run.file,
-                                               &run_lo[r], &run_hi[r]);
+        for (size_t k = run.begin; k < run.end && bounds; k++) {
+          bounds = ModelCatalog::PredictInFile(*model, run_keys[k], run.file,
+                                               &scratch.run_lo[k],
+                                               &scratch.run_hi[k]);
         }
         sink.Add(Counter::kTablesConsulted);
         Status s = table_cache_->GetReader(files[run.file].number,
                                            &run.reader);
         if (!s.ok()) return s;
-        const std::span<const Key> rkeys(run_keys.data() + run.begin,
-                                         run.end - run.begin);
-        const size_t* lo = bounds ? run_lo.data() + run.begin : nullptr;
-        const size_t* hi = bounds ? run_hi.data() + run.begin : nullptr;
-        s = async ? run.reader->PrepareMultiGet(rkeys, lo, hi, batch.get(),
-                                                &run.pending, sink,
-                                                fill_cache)
-                  : run.reader->MultiGet(rkeys, lo, hi,
-                                         &run_values[run.begin],
-                                         &run_tags[run.begin],
-                                         &run_found[run.begin], sink,
-                                         fill_cache);
+        s = run.reader->PrepareMultiGet(
+            std::span<const Key>(run_keys.data() + run.begin,
+                                 run.end - run.begin),
+            bounds ? scratch.run_lo.data() + run.begin : nullptr,
+            bounds ? scratch.run_hi.data() + run.begin : nullptr, batch.get(),
+            &scratch.pending[r], sink, fill_cache);
         if (!s.ok()) return s;
       }
-      if (async) {
+      if (batch != nullptr) {
         Status ws;
         {
           ScopedTimer reap_timer(sink, Timer::kAsyncReap, env_);
@@ -792,17 +843,18 @@ class DBImpl final : public DB {
         }
         sink.Add(Counter::kAsyncBatches);
         if (!ws.ok()) return ws;
-        for (Run& run : runs) {
-          Status s = run.reader->FinishMultiGet(
-              run.pending.get(), &run_values[run.begin],
-              &run_tags[run.begin], &run_found[run.begin], sink);
-          if (!s.ok()) return s;
-        }
       }
-      for (size_t r = 0; r < total; r++) {
-        if (!run_found[r]) continue;
-        (*values)[run_idx[r]] = std::move(run_values[r]);
-        resolve(run_idx[r], TagType(run_tags[r]) != kTypeValue);
+      for (size_t r = 0; r < runs.size(); r++) {
+        const LookupScratch::Run& run = runs[r];
+        Status s = run.reader->FinishMultiGet(
+            &scratch.pending[r], &scratch.run_values[run.begin],
+            &scratch.run_tags[run.begin], &found[run.begin], sink);
+        if (!s.ok()) return s;
+      }
+      for (size_t k = 0; k < total; k++) {
+        if (!found[k]) continue;
+        values[run_idx[k]].swap(scratch.run_values[k]);
+        resolve(run_idx[k], TagType(scratch.run_tags[k]) != kTypeValue);
       }
       return Status::OK();
     };
@@ -810,7 +862,7 @@ class DBImpl final : public DB {
     const Version& v = *view.version;
     // Level 0: files may overlap, so serve newest-first; each file gets
     // the (still ascending) subset of unresolved keys in its range, and
-    // must finish before the next file is planned — hence inline.
+    // must finish before the next file is planned — hence one run each.
     const std::vector<FileMeta>& l0 = v.files(0);
     uint64_t l0_start = 0;
     bool consulted = false;  // a level's read span opens at its first run
@@ -828,7 +880,7 @@ class DBImpl final : public DB {
         consulted = true;
         l0_start = sink.Start(env_);
       }
-      Status s = serve_runs(l0, /*model=*/nullptr, /*async=*/false);
+      Status s = serve_runs(l0, /*model=*/nullptr);
       if (!s.ok()) return abort_with(s);
     }
     if (consulted) sink.StopLevelRead(0, env_, l0_start);
@@ -837,108 +889,49 @@ class DBImpl final : public DB {
       const std::vector<FileMeta>& files = v.files(level);
       if (files.empty()) continue;
 
-      // Walk files and sorted keys in lockstep (the batched equivalent of
-      // per-key FindFile), cutting a run at every file change. The I/O
-      // happens after, outside the kTableLookup timer.
+      // Walk files and sorted keys in lockstep, cutting a run at every
+      // file change: each key's file is a binary search for the first
+      // file whose largest key is >= it, resumed at the previous key's
+      // file. The I/O happens after, outside the kTableLookup timer.
       clear_plan();
       const uint64_t plan_start = sink.Start(env_);
-      size_t fi = 0;
+      auto file = files.begin();
       for (uint32_t idx : order) {
         if (done[idx]) continue;
         const Key key = keys[idx];
-        while (fi < files.size() && files[fi].largest < key) fi++;
-        if (fi == files.size()) break;
-        if (key < files[fi].smallest) continue;
-        add_key(idx, fi);
+        file = std::lower_bound(
+            file, files.end(), key,
+            [](const FileMeta& f, Key k) { return f.largest < k; });
+        if (file == files.end()) break;
+        if (key < file->smallest) continue;
+        add_key(idx, static_cast<size_t>(file - files.begin()));
       }
       const uint64_t plan_nanos =
           sink.Stop(Timer::kTableLookup, env_, plan_start);
       if (runs.empty()) continue;
-      // As in GetFromView: only a covered level records a read, over a
-      // span back-dated by its planning time.
+      // Only a covered level records a read. Its span opens here,
+      // back-dated by the planning time just measured: it still covers
+      // the search, and every span costs exactly two clock reads.
       const uint64_t level_start = sink.Start(env_) - plan_nanos;
 
-      // Resolve the level model once for the whole batch (single-key Get
-      // pays the catalog round-trip per lookup).
+      // Resolve the level model once for the whole plan. `v` is the
+      // caller's pinned version and models are attached to it, so the
+      // model always matches the file list being searched. Under
+      // kCompactionMaintained the slot was filled at install time and
+      // GetOrBuild returns it from its fast path; a missing model (lazy
+      // policy, or a degraded/skipped write-path build) is trained here —
+      // first reader wins, the rest fall back to the per-file index.
       LevelModelRef model;
       if (level_models()) {
         model = model_catalog_->GetOrBuild(v, level, table_cache_.get(),
                                            options_.index_type,
                                            options_.index_config);
       }
-      Status s = serve_runs(files, model.get(), options_.io_depth > 1);
+      Status s = serve_runs(files, model.get());
       if (!s.ok()) return abort_with(s);
       sink.StopLevelRead(level, env_, level_start);
     }
     return Status::OK();
-  }
-
-  Status GetFromView(const ReadView& view, Key key, std::string* value,
-                     OpStats sink, bool fill_cache) {
-    {
-      ScopedTimer timer(sink, Timer::kMemtableGet, env_);
-      ValueType type;
-      if (view.mem->Get(key, view.seq, value, &type)) {
-        return type == kTypeValue ? Status::OK()
-                                  : Status::NotFound("deleted");
-      }
-      if (view.imm != nullptr &&
-          view.imm->Get(key, view.seq, value, &type)) {
-        return type == kTypeValue ? Status::OK()
-                                  : Status::NotFound("deleted");
-      }
-    }
-
-    const Version& v = *view.version;
-
-    // Level 0: files may overlap; scan newest-first.
-    const std::vector<FileMeta>& l0 = v.files(0);
-    uint64_t l0_start = 0;
-    bool consulted = false;  // a level's read span opens at its first file
-    for (size_t f = 0; f < l0.size(); f++) {
-      if (key < l0[f].smallest || key > l0[f].largest) continue;
-      if (!consulted) {
-        consulted = true;
-        l0_start = sink.Start(env_);
-      }
-      sink.Add(Counter::kTablesConsulted);
-      bool found = false;
-      uint64_t tag = 0;
-      Status s = TableGetAtLevel(v, 0, f, key, value, &tag, &found, sink,
-                                 fill_cache);
-      if (!s.ok()) return s;
-      if (found) {
-        sink.StopLevelRead(0, env_, l0_start);
-        return TagType(tag) == kTypeValue ? Status::OK()
-                                          : Status::NotFound("deleted");
-      }
-    }
-    if (consulted) sink.StopLevelRead(0, env_, l0_start);
-
-    for (int level = 1; level < kNumLevels; level++) {
-      if (v.NumFiles(level) == 0) continue;
-      const uint64_t find_start = sink.Start(env_);
-      const int file_idx = v.FindFile(level, key);
-      const uint64_t find_nanos =
-          sink.Stop(Timer::kTableLookup, env_, find_start);
-      if (file_idx < 0) continue;
-      // Only a covered level records a read. Its span opens here, back-dated
-      // by the FindFile time just measured: it still covers the search, and
-      // every span the Get records costs exactly two clock reads.
-      const uint64_t level_start = sink.Start(env_) - find_nanos;
-      sink.Add(Counter::kTablesConsulted);
-      bool found = false;
-      uint64_t tag = 0;
-      Status s = TableGetAtLevel(v, level, static_cast<size_t>(file_idx), key,
-                                 value, &tag, &found, sink, fill_cache);
-      if (!s.ok()) return s;
-      sink.StopLevelRead(level, env_, level_start);
-      if (found) {
-        return TagType(tag) == kTypeValue ? Status::OK()
-                                          : Status::NotFound("deleted");
-      }
-    }
-    return Status::NotFound("not found");
   }
 
   TableOptions MakeTableOptions() const {
@@ -1648,37 +1641,6 @@ class DBImpl final : public DB {
       model_catalog_->GetOrBuild(v, level, table_cache_.get(),
                                  options_.index_type, options_.index_config);
     }
-  }
-
-  /// One-key lookup in file `file_idx` of `level`: a one-key MultiGet on
-  /// its reader, with the level model's window as bounds under kLevel
-  /// granularity. `v` is the reader's pinned version and models are
-  /// attached to it, so the model consulted always matches the file list
-  /// being searched — a reader racing a background version install needs
-  /// no stamp check. Under kCompactionMaintained the slot was filled at
-  /// install time and GetOrBuild returns it from its fast path; a missing
-  /// model (lazy policy, or a degraded/skipped write-path build) is
-  /// trained here — first reader wins, the rest fall back to the per-file
-  /// index for that lookup.
-  Status TableGetAtLevel(const Version& v, int level, size_t file_idx,
-                         Key key, std::string* value, uint64_t* tag,
-                         bool* found, OpStats sink, bool fill_cache) {
-    size_t lo = 0, hi = 0;
-    bool bounds = false;
-    if (level > 0 && level_models()) {
-      const LevelModelRef model = model_catalog_->GetOrBuild(
-          v, level, table_cache_.get(), options_.index_type,
-          options_.index_config);
-      bounds = model != nullptr &&
-               ModelCatalog::PredictInFile(*model, key, file_idx, &lo, &hi);
-    }
-    std::shared_ptr<TableReader> reader;
-    Status s = table_cache_->GetReader(v.files(level)[file_idx].number,
-                                       &reader);
-    if (!s.ok()) return s;
-    return reader->MultiGet(std::span<const Key>(&key, 1),
-                            bounds ? &lo : nullptr, bounds ? &hi : nullptr,
-                            value, tag, found, sink, fill_cache);
   }
 
   // Mutated only by the quiescent-only reconfiguration surface

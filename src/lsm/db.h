@@ -150,9 +150,9 @@ struct ReadOptions {
   /// Model-guided readahead for iterators created by this call (and the
   /// scans under RangeLookup): each table iterator prefetches up to this
   /// many upcoming I/O blocks through an async read batch while the
-  /// caller consumes the current one. 0 (default) keeps the scan path
-  /// fully synchronous and byte-identical to earlier releases. Prefetch
-  /// success/waste is visible as kReadaheadHits / kReadaheadWasted.
+  /// caller consumes the current one. 0 (default): each block is read
+  /// when the scan reaches it. Either way the scan returns the same
+  /// entries; kReadaheadHits / kReadaheadWasted show prefetch success.
   size_t readahead_blocks = 0;
 };
 
@@ -250,14 +250,13 @@ struct DBOptions {
   /// segment fetch is a device I/O with exactly the seed's SimEnv counts.
   size_t block_cache_bytes = 0;
 
-  /// Target I/O queue depth for batched reads. 1 (default) keeps every
-  /// read path synchronous and byte-identical to earlier releases
-  /// (including SimEnv latency/counter accounting). Above 1, MultiGet
-  /// fetches the io-blocks of all runs of a level concurrently through
+  /// Target I/O queue depth for batched reads. 1 (default): every lookup
+  /// reads inline, one blocking read per span. Above 1, a MultiGet level
+  /// with at least two runs fetches their spans concurrently through
   /// Env::NewReadBatch (io_uring when available, a thread-pool backend
   /// otherwise), and compaction input iterators read ahead up to this
-  /// many blocks. Results are always bit-identical to the synchronous
-  /// path; only timing and batching counters differ.
+  /// many blocks. Results are bit-identical at every depth; only timing
+  /// and stage counts (batch, bloom and predict counters) differ.
   int io_depth = 1;
 
   /// Sanity-checks the option values against the engine's invariants;

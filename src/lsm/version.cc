@@ -154,16 +154,6 @@ int Version::MaxPopulatedLevel() const {
   return -1;
 }
 
-int Version::FindFile(int level, Key key) const {
-  const std::vector<FileMeta>& files = files_[level];
-  // First file with largest >= key.
-  auto it = std::lower_bound(
-      files.begin(), files.end(), key,
-      [](const FileMeta& f, Key k) { return f.largest < k; });
-  if (it == files.end() || it->smallest > key) return -1;
-  return static_cast<int>(it - files.begin());
-}
-
 std::vector<FileMeta> Version::GetOverlapping(int level, Key smallest,
                                               Key largest) const {
   std::vector<FileMeta> result;

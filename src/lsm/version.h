@@ -108,10 +108,6 @@ class Version {
   /// Highest level containing any file (-1 when empty).
   int MaxPopulatedLevel() const;
 
-  /// For levels >= 1: index of the single file whose range may contain
-  /// `key`, or -1. For level 0 use files() directly (newest first).
-  int FindFile(int level, Key key) const;
-
   /// Files in `level` overlapping [smallest, largest].
   std::vector<FileMeta> GetOverlapping(int level, Key smallest,
                                        Key largest) const;

@@ -314,19 +314,32 @@ void TableReader::CacheColdBlocks(uint64_t byte_lo, uint64_t byte_hi,
   if (evicted > 0) stats.Add(Counter::kBlockCacheEvictions, evicted);
 }
 
+TableReader::AlignedSpan TableReader::Align(size_t lo, size_t hi) const {
+  const uint64_t block = options_.io_block_size;
+  AlignedSpan span;
+  span.byte_lo = uint64_t{lo} * entry_size_ / block * block;
+  span.byte_hi = std::min<uint64_t>(
+      data_size_, (uint64_t{hi + 1} * entry_size_ + block - 1) / block * block);
+  span.first = static_cast<size_t>((span.byte_lo + entry_size_ - 1) /
+                                   entry_size_);
+  span.last = static_cast<size_t>(span.byte_hi / entry_size_) - 1;
+  return span;
+}
+
 Status TableReader::FetchAlignedCached(uint64_t byte_lo, uint64_t byte_hi,
                                        char* dst, OpStats stats,
                                        bool fill_cache) {
+  const bool cached = options_.block_cache != nullptr;
   // thread_local to amortize the allocation across fetches.
   thread_local std::vector<bool> block_hit;
-  if (ProbeCachedSpan(byte_lo, byte_hi, dst, &block_hit, stats)) {
+  if (cached && ProbeCachedSpan(byte_lo, byte_hi, dst, &block_hit, stats)) {
     return Status::OK();
   }
 
-  // At least one block is cold: fetch the whole span with the same single
-  // aligned pread the uncached path issues, then cache the cold blocks.
-  // The disk-read timer wraps only this pread — a span served from memory
-  // must not masquerade as device I/O in the stage breakdown.
+  // Uncached, or at least one block is cold: fetch the whole span with one
+  // aligned pread, then cache the cold blocks. The disk-read timer wraps
+  // only this pread — a span served from memory must not masquerade as
+  // device I/O in the stage breakdown.
   const size_t len = static_cast<size_t>(byte_hi - byte_lo);
   Slice contents;
   Status s;
@@ -339,58 +352,25 @@ Status TableReader::FetchAlignedCached(uint64_t byte_lo, uint64_t byte_hi,
     return Status::Corruption("segmented table: short data read");
   }
   if (contents.data() != dst) std::memmove(dst, contents.data(), len);
-  if (fill_cache) CacheColdBlocks(byte_lo, byte_hi, dst, block_hit, stats);
+  if (cached && fill_cache) {
+    CacheColdBlocks(byte_lo, byte_hi, dst, block_hit, stats);
+  }
   return Status::OK();
 }
 
 Status TableReader::ReadEntryRange(size_t lo, size_t hi, std::string* scratch,
                                    const char** base, size_t* first,
-                                   size_t* last, OpStats stats,
-                                   bool fill_cache) {
+                                   size_t* last, bool fill_cache) {
   assert(lo <= hi && hi < count_);
-  // Release-mode guard: a prediction from a corrupt or stale index blob
-  // must clamp to the entry array instead of reading past the data region.
-  if (hi >= count_) hi = count_ - 1;
-  if (lo > hi) lo = hi;
-  if (!stats) stats = options_.stats;
-  const uint64_t block = options_.io_block_size;
-  uint64_t byte_lo = static_cast<uint64_t>(lo) * entry_size_;
-  uint64_t byte_hi = static_cast<uint64_t>(hi + 1) * entry_size_;
-  // Align the fetch to device blocks: this is the paper's unit of I/O
-  // cost. The upper bound is clamped to the data region's end — on the
-  // last segment of a table whose data section ends mid-block, the
-  // aligned range would otherwise extend into the trailing bloom block
-  // (and, were the data region the whole file, past end-of-file).
-  byte_lo = (byte_lo / block) * block;
-  byte_hi = std::min<uint64_t>(data_size_, ((byte_hi + block - 1) / block) * block);
-
-  const size_t len = static_cast<size_t>(byte_hi - byte_lo);
+  const AlignedSpan span = Align(lo, hi);
+  const size_t len = static_cast<size_t>(span.byte_hi - span.byte_lo);
   if (scratch->size() < len) scratch->resize(len);
-  if (options_.block_cache != nullptr) {
-    Status s =
-        FetchAlignedCached(byte_lo, byte_hi, scratch->data(), stats,
-                           fill_cache);
-    if (!s.ok()) return s;
-  } else {
-    Slice contents;
-    Status s = file_->Read(byte_lo, len, &contents, scratch->data());
-    if (!s.ok()) return s;
-    if (contents.size() < len) {
-      return Status::Corruption("segmented table: short data read");
-    }
-    if (contents.data() != scratch->data()) {
-      std::memmove(scratch->data(), contents.data(), len);
-    }
-  }
-
-  // First fully contained entry at or below `lo`.
-  const size_t first_entry =
-      static_cast<size_t>((byte_lo + entry_size_ - 1) / entry_size_);
-  const size_t last_entry = static_cast<size_t>(byte_hi / entry_size_) - 1;
-  assert(first_entry <= lo && last_entry >= hi);
-  *base = scratch->data() + (first_entry * entry_size_ - byte_lo);
-  *first = first_entry;
-  *last = std::min<size_t>(last_entry, count_ - 1);
+  Status s = FetchAlignedCached(span.byte_lo, span.byte_hi, scratch->data(),
+                                options_.stats, fill_cache);
+  if (!s.ok()) return s;
+  *base = scratch->data() + EntryOffset(span.byte_lo, span.first);
+  *first = span.first;
+  *last = span.last;
   return Status::OK();
 }
 
@@ -472,127 +452,97 @@ bool TableReader::SearchBuffer(const char* base, size_t first, size_t lo,
   return true;
 }
 
-Status TableReader::MultiGet(std::span<const Key> keys,
-                             const size_t* bounds_lo, const size_t* bounds_hi,
-                             std::string* values, uint64_t* tags, bool* founds,
-                             OpStats stats, bool fill_cache) {
-  if (!stats) stats = options_.stats;
-  Env* env = options_.env;
-
-  // Per-thread scratch instead of a reader member: concurrent lookups on
-  // the same (cached, shared) reader must not share a buffer. Shared
-  // across readers on a thread, it amortizes to one allocation at the
-  // largest segment size.
-  thread_local std::string scratch;
-  const char* base = nullptr;
-  size_t buf_first = 0, buf_last = 0;
-  bool buffered = false;
-  Key buf_first_key = 0, buf_last_key = 0;
-
-  for (size_t i = 0; i < keys.size(); i++) {
-    const Key key = keys[i];
-    founds[i] = false;
-    if (count_ == 0 || key < min_key_ || key > max_key_) continue;
-
-    // A key inside the buffered block's key range is answered exactly from
-    // memory: the block holds every entry between its first and last key,
-    // so absence here is absence from the table — no bloom probe, no
-    // index descent, no I/O.
-    if (buffered && key >= buf_first_key && key <= buf_last_key) {
-      ScopedTimer timer(stats, Timer::kBinarySearch, env);
-      founds[i] =
-          SearchBuffer(base, buf_first, buf_first, buf_last, key, &values[i],
-                       &tags[i]);
-      continue;
-    }
-
-    if (!MayContain(key, stats)) continue;
-
-    size_t lo, hi;
-    EntryWindow(key, bounds_lo, bounds_hi, i, stats, &lo, &hi);
-
-    {
-      // With a block cache the fetch may be served from memory, so the
-      // disk-read timer moves inside FetchAlignedCached's pread branch (a
-      // null sink disables this outer timer); uncached, this outer scope
-      // times the single pread.
-      ScopedTimer timer(options_.block_cache == nullptr ? stats : OpStats(),
-                        Timer::kDiskRead, env);
-      Status s = ReadEntryRange(lo, hi, &scratch, &base, &buf_first,
-                                &buf_last, stats, fill_cache);
-      if (!s.ok()) return s;
-      stats.Add(Counter::kSegmentsFetched);
-    }
-    buffered = true;
-    buf_first_key = EntryKeyInBuffer(base, buf_first, buf_first);
-    buf_last_key = EntryKeyInBuffer(base, buf_first, buf_last);
-
-    {
-      ScopedTimer timer(stats, Timer::kBinarySearch, env);
-      founds[i] =
-          SearchBuffer(base, buf_first, lo, hi, key, &values[i], &tags[i]);
-    }
-    stats.Add(founds[i] ? Counter::kBloomTruePositive
-                        : Counter::kBloomFalsePositive);
-  }
-  return Status::OK();
+PendingMultiGet::Span& PendingMultiGet::NewSpan(uint64_t byte_lo,
+                                                uint64_t byte_hi,
+                                                size_t first) {
+  if (num_spans_ == spans_.size()) spans_.emplace_back();
+  Span& span = spans_[num_spans_++];
+  span.byte_lo = byte_lo;
+  span.byte_hi = byte_hi;
+  span.first = first;
+  span.needs_read = false;
+  return span;
 }
 
 Status TableReader::PrepareMultiGet(std::span<const Key> keys,
                                     const size_t* bounds_lo,
                                     const size_t* bounds_hi, ReadBatch* batch,
-                                    std::unique_ptr<PendingMultiGet>* pending,
-                                    OpStats stats, bool fill_cache) {
+                                    PendingMultiGet* pending, OpStats stats,
+                                    bool fill_cache) {
   if (!stats) stats = options_.stats;
-  auto p = std::make_unique<PendingMultiGet>();
-  p->keys_.assign(keys.begin(), keys.end());
-  p->plans_.resize(keys.size());
-  p->fill_cache_ = fill_cache;
-  const uint64_t block = options_.io_block_size;
+  PendingMultiGet& p = *pending;
+  p.keys_ = keys;
+  p.plans_.assign(keys.size(), PendingMultiGet::KeyPlan());
+  p.num_spans_ = 0;
+  p.fill_cache_ = fill_cache;
+  // Inline only: the last fetched span's entries and their key range.
+  AlignedSpan span_entries;
+  Key span_first_key = 0, span_last_key = 0;
 
-  // Pass 1: screen and bound every key, merging the per-key aligned byte
-  // ranges into spans. Keys arrive ascending, so model predictions are
-  // (nearly) monotone and consecutive ranges coalesce into the same single
-  // I/Os the synchronous path's buffered-block reuse achieves.
+  // Screen and bound every key, turning each window into an aligned byte
+  // span. Keys arrive ascending, so model predictions are (nearly)
+  // monotone and consecutive windows land in the same span.
   for (size_t i = 0; i < keys.size(); i++) {
     const Key key = keys[i];
     if (count_ == 0 || key < min_key_ || key > max_key_) continue;
-    if (!MayContain(key, stats)) continue;
-    size_t lo, hi;
-    EntryWindow(key, bounds_lo, bounds_hi, i, stats, &lo, &hi);
-    uint64_t byte_lo = (static_cast<uint64_t>(lo) * entry_size_ / block) * block;
-    uint64_t byte_hi = std::min<uint64_t>(
-        data_size_,
-        ((static_cast<uint64_t>(hi + 1) * entry_size_ + block - 1) / block) *
-            block);
-    if (!p->spans_.empty() && byte_lo <= p->spans_.back().byte_hi &&
-        byte_lo >= p->spans_.back().byte_lo) {
-      // Overlaps or abuts the previous span: extend it forward.
-      PendingMultiGet::Span& prev = p->spans_.back();
-      if (byte_hi > prev.byte_hi) prev.byte_hi = byte_hi;
-    } else {
-      PendingMultiGet::Span span;
-      span.byte_lo = byte_lo;
-      span.byte_hi = byte_hi;
-      p->spans_.push_back(std::move(span));
-    }
-    p->plans_[i].span = static_cast<int>(p->spans_.size()) - 1;
-    p->plans_[i].lo = lo;
-    p->plans_[i].hi = hi;
-  }
+    PendingMultiGet::KeyPlan& plan = p.plans_[i];
 
-  // Pass 2: for each span, serve what the block cache holds; anything
+    // Inline: a key inside the last fetched span's key range is answered
+    // exactly from it — the span holds every entry between its first and
+    // last key, so absence there is absence from the table.
+    if (batch == nullptr && p.num_spans_ > 0 && key >= span_first_key &&
+        key <= span_last_key) {
+      plan.span = static_cast<int>(p.num_spans_ - 1);
+      plan.lo = span_entries.first;
+      plan.hi = span_entries.last;
+      continue;
+    }
+
+    if (!MayContain(key, stats)) continue;
+    EntryWindow(key, bounds_lo, bounds_hi, i, stats, &plan.lo, &plan.hi);
+    plan.probed = true;
+    const AlignedSpan window = Align(plan.lo, plan.hi);
+    if (batch != nullptr && p.num_spans_ > 0 &&
+        window.byte_lo <= p.spans_[p.num_spans_ - 1].byte_hi &&
+        window.byte_lo >= p.spans_[p.num_spans_ - 1].byte_lo) {
+      // Overlaps or abuts the previous span: extend it forward.
+      PendingMultiGet::Span& prev = p.spans_[p.num_spans_ - 1];
+      if (window.byte_hi > prev.byte_hi) prev.byte_hi = window.byte_hi;
+      plan.span = static_cast<int>(p.num_spans_ - 1);
+      continue;
+    }
+    PendingMultiGet::Span& span =
+        p.NewSpan(window.byte_lo, window.byte_hi, window.first);
+    plan.span = static_cast<int>(p.num_spans_ - 1);
+    if (batch != nullptr) continue;
+
+    const size_t len = static_cast<size_t>(window.byte_hi - window.byte_lo);
+    if (span.buffer.size() < len) span.buffer.resize(len);
+    Status s = FetchAlignedCached(window.byte_lo, window.byte_hi,
+                                  span.buffer.data(), stats, fill_cache);
+    if (!s.ok()) return s;
+    const char* base =
+        span.buffer.data() + EntryOffset(window.byte_lo, window.first);
+    span_entries = window;
+    span_first_key = EntryKeyInBuffer(base, window.first, window.first);
+    span_last_key = EntryKeyInBuffer(base, window.first, window.last);
+  }
+  if (batch == nullptr) return Status::OK();
+
+  // Batched: for each span, serve what the block cache holds; anything
   // colder becomes one ReadRequest on the caller's batch. The span list
   // is final here, so the registered request pointers stay stable.
-  for (PendingMultiGet::Span& span : p->spans_) {
+  for (size_t k = 0; k < p.num_spans_; k++) {
+    PendingMultiGet::Span& span = p.spans_[k];
     const size_t len = static_cast<size_t>(span.byte_hi - span.byte_lo);
-    span.buffer.resize(len);
+    if (span.buffer.size() < len) span.buffer.resize(len);
     if (options_.block_cache != nullptr &&
         ProbeCachedSpan(span.byte_lo, span.byte_hi, span.buffer.data(),
                         &span.block_hit, stats)) {
       continue;  // fully warm: this span never touches the Env
     }
     span.needs_read = true;
+    span.req = ReadRequest();
     span.req.file = file_.get();
     span.req.offset = span.byte_lo;
     span.req.n = len;
@@ -600,8 +550,6 @@ Status TableReader::PrepareMultiGet(std::span<const Key> keys,
     batch->Add(&span.req);
     stats.Add(Counter::kAsyncReads);
   }
-
-  *pending = std::move(p);
   return Status::OK();
 }
 
@@ -612,8 +560,9 @@ Status TableReader::FinishMultiGet(PendingMultiGet* pending,
   Env* env = options_.env;
 
   // Check the reaped reads and insert the cold blocks under the Prepare
-  // call's fill_cache, exactly as the synchronous fetch does.
-  for (PendingMultiGet::Span& span : pending->spans_) {
+  // call's fill_cache, as an inline fetch does.
+  for (size_t k = 0; k < pending->num_spans_; k++) {
+    PendingMultiGet::Span& span = pending->spans_[k];
     stats.Add(Counter::kSegmentsFetched);
     if (!span.needs_read) continue;
     if (!span.req.status.ok()) return span.req.status;
@@ -635,17 +584,17 @@ Status TableReader::FinishMultiGet(PendingMultiGet* pending,
     const PendingMultiGet::KeyPlan& plan = pending->plans_[i];
     if (plan.span < 0) continue;
     const PendingMultiGet::Span& span = pending->spans_[plan.span];
-    const size_t first_entry =
-        static_cast<size_t>((span.byte_lo + entry_size_ - 1) / entry_size_);
     const char* base =
-        span.buffer.data() + (first_entry * entry_size_ - span.byte_lo);
+        span.buffer.data() + EntryOffset(span.byte_lo, span.first);
     {
       ScopedTimer timer(stats, Timer::kBinarySearch, env);
-      founds[i] = SearchBuffer(base, first_entry, plan.lo, plan.hi,
+      founds[i] = SearchBuffer(base, span.first, plan.lo, plan.hi,
                                pending->keys_[i], &values[i], &tags[i]);
     }
-    stats.Add(founds[i] ? Counter::kBloomTruePositive
-                        : Counter::kBloomFalsePositive);
+    if (plan.probed) {
+      stats.Add(founds[i] ? Counter::kBloomTruePositive
+                          : Counter::kBloomFalsePositive);
+    }
   }
   return Status::OK();
 }
@@ -757,34 +706,22 @@ class TableReader::Iterator final : public TableIterator {
       return;
     }
 
-    PredictResult prediction;
-    {
-      ScopedTimer timer(reader_->options_.stats, Timer::kIndexPredict,
-                        reader_->options_.env);
-      prediction = reader_->index_->Predict(target);
-    }
-    // Clamp here, not just in ReadEntryRange: the window arithmetic below
-    // indexes the fetched buffer with prediction.hi, so an out-of-range
-    // prediction from a corrupt index blob must be pinned to the entry
-    // array before it is used.
-    if (prediction.hi >= reader_->count_) {
-      prediction.hi = reader_->count_ - 1;
-    }
-    if (prediction.lo > prediction.hi) prediction.lo = prediction.hi;
+    size_t win_lo = 0, win_hi = 0;  // clamped: indexes the fetched buffer
+    reader_->EntryWindow(target, nullptr, nullptr, 0, reader_->options_.stats,
+                         &win_lo, &win_hi);
     const char* base = nullptr;
     size_t first = 0, last = 0;
-    status_ = reader_->ReadEntryRange(prediction.lo, prediction.hi, &buffer_,
-                                      &base, &first, &last, nullptr,
-                                      fill_cache_);
+    status_ = reader_->ReadEntryRange(win_lo, win_hi, &buffer_, &base, &first,
+                                      &last, fill_cache_);
     if (!status_.ok()) return;
     buf_base_offset_ = static_cast<size_t>(base - buffer_.data());
     buf_first_ = first;
     buf_last_ = last;
 
-    const Key range_first = reader_->EntryKeyInBuffer(base, first, prediction.lo);
-    const Key range_last = reader_->EntryKeyInBuffer(base, first, prediction.hi);
-    if ((target < range_first && prediction.lo != 0) ||
-        (target > range_last && prediction.hi != reader_->count_ - 1)) {
+    const Key range_first = reader_->EntryKeyInBuffer(base, first, win_lo);
+    const Key range_last = reader_->EntryKeyInBuffer(base, first, win_hi);
+    if ((target < range_first && win_lo != 0) ||
+        (target > range_last && win_hi != reader_->count_ - 1)) {
       // The model window does not bracket this (absent) target; fall back
       // to an exact binary search over the file.
       size_t pos = 0;
@@ -796,7 +733,7 @@ class TableReader::Iterator final : public TableIterator {
     }
 
     // Lower bound within [lo, hi].
-    size_t lo = prediction.lo, hi = prediction.hi + 1;
+    size_t lo = win_lo, hi = win_hi + 1;
     if (target > range_last) {
       lo = hi;  // insertion point just past the window (hi == count_ - 1)
     } else {
@@ -863,7 +800,7 @@ class TableReader::Iterator final : public TableIterator {
     const char* base = nullptr;
     size_t first = 0, last = 0;
     status_ = reader_->ReadEntryRange(pos_, pos_, &buffer_, &base, &first,
-                                      &last, nullptr, fill_cache_);
+                                      &last, fill_cache_);
     if (!status_.ok()) return;
     buf_base_offset_ = static_cast<size_t>(base - buffer_.data());
     buf_first_ = first;
@@ -910,19 +847,14 @@ class TableReader::Iterator final : public TableIterator {
   /// pruned, counting never-served ones as wasted readahead.
   bool ServeFromPrefetch() {
     const uint64_t block = reader_->options_.io_block_size;
-    const uint32_t entry = reader_->entry_size_;
-    const uint64_t byte_lo =
-        (static_cast<uint64_t>(pos_) * entry / block) * block;
-    const uint64_t byte_hi = std::min<uint64_t>(
-        reader_->data_size_,
-        ((static_cast<uint64_t>(pos_ + 1) * entry + block - 1) / block) *
-            block);
+    const AlignedSpan span = reader_->Align(pos_, pos_);
+    const uint64_t byte_lo = span.byte_lo;
     const size_t num_blocks =
-        static_cast<size_t>((byte_hi - byte_lo + block - 1) / block);
+        static_cast<size_t>((span.byte_hi - byte_lo + block - 1) / block);
     for (size_t b = 0; b < num_blocks; b++) {
       if (ready_.find(byte_lo + b * block) == ready_.end()) return false;
     }
-    const size_t len = static_cast<size_t>(byte_hi - byte_lo);
+    const size_t len = static_cast<size_t>(span.byte_hi - byte_lo);
     if (buffer_.size() < len) buffer_.resize(len);
     Stats* stats = reader_->options_.stats;
     uint64_t hits = 0;
@@ -937,12 +869,9 @@ class TableReader::Iterator final : public TableIterator {
     if (stats != nullptr && hits > 0) {
       stats->Add(Counter::kReadaheadHits, hits);
     }
-    const size_t first_entry =
-        static_cast<size_t>((byte_lo + entry - 1) / entry);
-    const size_t last_entry = static_cast<size_t>(byte_hi / entry) - 1;
-    buf_base_offset_ = static_cast<size_t>(first_entry * entry - byte_lo);
-    buf_first_ = first_entry;
-    buf_last_ = std::min<size_t>(last_entry, reader_->count_ - 1);
+    buf_base_offset_ = reader_->EntryOffset(byte_lo, span.first);
+    buf_first_ = span.first;
+    buf_last_ = span.last;
     // Prune blocks the forward scan can no longer use.
     uint64_t wasted = 0;
     for (auto it = ready_.begin(); it != ready_.end();) {
@@ -967,9 +896,7 @@ class TableReader::Iterator final : public TableIterator {
     if (readahead_blocks_ == 0 || !status_.ok()) return;
     if (buf_last_ == kInvalid || buf_last_ + 1 >= reader_->count_) return;
     const uint64_t block = reader_->options_.io_block_size;
-    const uint32_t entry = reader_->entry_size_;
-    uint64_t next =
-        (static_cast<uint64_t>(buf_last_ + 1) * entry / block) * block;
+    uint64_t next = reader_->Align(buf_last_ + 1, buf_last_ + 1).byte_lo;
     Stats* stats = reader_->options_.stats;
     uint64_t submitted = 0;
     for (size_t k = 0; k < readahead_blocks_ && next < reader_->data_size_;

@@ -123,12 +123,13 @@ class TableBuilder {
   bool finished_ = false;
 };
 
-/// Per-run state carried from PrepareMultiGet to FinishMultiGet: the keys
-/// that survived range/bloom screening, their search bounds, and the
-/// merged aligned byte spans backing them (each span either assembled from
-/// cache hits at Prepare time or registered as one ReadRequest).
-/// Destroying a pending object whose batch has not been waited is illegal
-/// (requests reference its buffers).
+/// One run's lookup plan, carried from PrepareMultiGet to FinishMultiGet:
+/// the keys that survived range/bloom screening, their search bounds, and
+/// the aligned byte spans backing them. The caller owns it and may reuse
+/// it across calls — its buffers keep their capacity, so a warm one-key
+/// lookup allocates nothing. It holds no reference to the reader.
+/// Destroying or reusing a pending object whose batch has not been waited
+/// is illegal (requests reference its buffers).
 class PendingMultiGet {
  private:
   friend class TableReader;
@@ -136,20 +137,26 @@ class PendingMultiGet {
   struct Span {
     uint64_t byte_lo = 0;
     uint64_t byte_hi = 0;
-    std::string buffer;            // byte_hi - byte_lo bytes
+    size_t first = 0;              // first entry held whole by the span
+    std::string buffer;            // >= byte_hi - byte_lo bytes
     bool needs_read = false;       // a ReadRequest was registered
     std::vector<bool> block_hit;   // cache probe result per io block
     ReadRequest req;
   };
   struct KeyPlan {
     int span = -1;  // -1: resolved at Prepare (out of range / bloom miss)
+    bool probed = false;  // passed a bloom probe (counts TP/FP at Finish)
     size_t lo = 0;
     size_t hi = 0;  // inclusive entry bounds for the buffer search
   };
 
-  std::vector<Key> keys_;
+  /// Opens span number num_spans_, reusing a retired one's buffers.
+  Span& NewSpan(uint64_t byte_lo, uint64_t byte_hi, size_t first);
+
+  std::span<const Key> keys_;  // the caller's, alive until Finish
   std::vector<KeyPlan> plans_;
-  std::vector<Span> spans_;
+  std::vector<Span> spans_;    // the first num_spans_ are this plan's
+  size_t num_spans_ = 0;
   bool fill_cache_ = true;
 };
 
@@ -159,43 +166,40 @@ class TableReader {
   static Status Open(const TableOptions& options, const std::string& fname,
                      std::unique_ptr<TableReader>* reader);
 
-  /// Batched point lookup over ascending (not necessarily distinct) keys;
-  /// the only synchronous read entry point — a point lookup is a one-key
-  /// call (the paper's bloom, predict, one aligned pread, search). For
-  /// each keys[i]: on a hit sets founds[i]=true plus tags[i] and
-  /// values[i]; a bloom negative or absent key sets founds[i]=false with
-  /// OK status. `bounds_lo`/`bounds_hi` (both null or both non-null, one
-  /// inclusive entry range per key) carry the predictions of a
-  /// level-granularity model. `stats` (when non-null) receives this call's
-  /// instrumentation instead of the table's configured sink, and says
-  /// whether this call is timed — the DB threads each Get/MultiGet's sink
-  /// here (ReadOptions::stats, or a sampled DB-wide handle). `fill_cache`
-  /// = false serves from the block cache but does not populate it on a
-  /// miss (ReadOptions::fill_cache). A key inside the key range of the
-  /// previously fetched block needs no bloom probe, no index descent, and
-  /// no disk read — the per-run amortization DB::MultiGet is built on.
-  Status MultiGet(std::span<const Key> keys, const size_t* bounds_lo,
-                  const size_t* bounds_hi, std::string* values,
-                  uint64_t* tags, bool* founds, OpStats stats,
-                  bool fill_cache = true);
-
-  /// Async MultiGet, phase 1: plans every key (range check, bloom, model
-  /// bounds), decomposes the lookups into merged cache-aware byte spans,
-  /// serves all-hit spans from the block cache immediately, and registers
-  /// one ReadRequest per cold span with `batch` instead of reading. The
+  /// Point lookup, phase 1 — the only read entry point: a point lookup
+  /// is a one-key plan (the paper's bloom, predict, one aligned pread,
+  /// search). Plans keys[] (ascending, not necessarily distinct): range
+  /// check, bloom, then an entry window — `bounds_lo`/`bounds_hi` (both
+  /// null or both non-null, one inclusive entry range per key) carry a
+  /// level-granularity model's predictions, else the file index predicts.
+  /// The windows become aligned byte spans in `*pending` (reset first).
+  ///
+  /// With `batch` null the plan reads inline: each span is fetched (block
+  /// cache first) as soon as it is planned, and a key inside the key
+  /// range of the last fetched span joins it with no bloom probe, no
+  /// index descent and no read — the per-run amortization DB::MultiGet is
+  /// built on. With a batch nothing is read here: overlapping or abutting
+  /// windows merge into one span, all-hit spans are served from the
+  /// block cache, and every colder span registers one ReadRequest; the
   /// caller Wait()s the batch (typically after preparing several runs so
-  /// their device reads overlap), then calls FinishMultiGet. Semantics
-  /// (keys ascending, optional level-model bounds, fill_cache) match
-  /// MultiGet; results are bit-identical to the synchronous path.
+  /// their device reads overlap) before FinishMultiGet. Both modes find
+  /// the same entries.
+  ///
+  /// `stats` (when non-null) receives this call's instrumentation instead
+  /// of the table's configured sink, and says whether it is timed — the DB
+  /// threads each Get/MultiGet's sink here (ReadOptions::stats, or a
+  /// sampled DB-wide handle). `fill_cache` = false serves from the block
+  /// cache but does not populate it on a miss (ReadOptions::fill_cache).
   Status PrepareMultiGet(std::span<const Key> keys, const size_t* bounds_lo,
                          const size_t* bounds_hi, ReadBatch* batch,
-                         std::unique_ptr<PendingMultiGet>* pending,
-                         OpStats stats, bool fill_cache = true);
+                         PendingMultiGet* pending, OpStats stats,
+                         bool fill_cache = true);
 
-  /// Async MultiGet, phase 2 (after the batch's Wait): searches the
-  /// fetched spans, fills values/tags/founds exactly like MultiGet, and
-  /// inserts cold blocks into the block cache under the fill_cache given
-  /// to PrepareMultiGet.
+  /// Point lookup, phase 2 (after the batch's Wait, if there was one):
+  /// checks the reaped reads, inserts their cold blocks into the block
+  /// cache under Prepare's fill_cache, and searches the spans. For each
+  /// key: on a hit sets founds[i]=true plus tags[i] and values[i]; a
+  /// bloom negative or absent key sets founds[i]=false.
   Status FinishMultiGet(PendingMultiGet* pending, std::string* values,
                         uint64_t* tags, bool* founds, OpStats stats);
 
@@ -212,7 +216,7 @@ class TableReader {
   Key MinKey() const { return min_key_; }
   Key MaxKey() const { return max_key_; }
 
-  /// The in-memory index consulted by MultiGet/Seek.
+  /// The in-memory index consulted by PrepareMultiGet/Seek.
   const LearnedIndex* index() const { return index_.get(); }
 
   /// Retrains the in-memory index with a new type/config by scanning the
@@ -243,16 +247,33 @@ class TableReader {
 
   explicit TableReader(const TableOptions& options) : options_(options) {}
 
-  /// Reads the entry range [lo, hi] (inclusive) with one pread aligned to
-  /// the I/O block size, clamped to the end of the data region (the last
+  /// The aligned byte span of the data region covering entries [lo, hi]
+  /// (inclusive) and the entries it holds whole.
+  struct AlignedSpan {
+    uint64_t byte_lo = 0;
+    uint64_t byte_hi = 0;
+    size_t first = 0;
+    size_t last = 0;
+  };
+  /// Aligns to the I/O block size — the paper's unit of I/O cost — and
+  /// clamps the upper bound to the end of the data region: the last
   /// segment of a table whose data section ends mid-block must not read
-  /// the trailing bloom/index/meta bytes as entries). With a block cache
-  /// configured, constituent I/O blocks are served from / inserted into it
-  /// (insertion gated by `fill_cache`). On success *base points at entry
-  /// `first` inside `scratch`.
+  /// the trailing bloom/index/meta bytes as entries (nor, were the data
+  /// region the whole file, run past end-of-file).
+  AlignedSpan Align(size_t lo, size_t hi) const;
+  /// Entries of the aligned span starting at `byte_lo`, whose first whole
+  /// entry is `first`, start at this offset of the span's bytes.
+  size_t EntryOffset(uint64_t byte_lo, size_t first) const {
+    return static_cast<size_t>(uint64_t{first} * entry_size_ - byte_lo);
+  }
+
+  /// Reads the entry range [lo, hi] (inclusive, lo <= hi < count) with
+  /// one aligned fetch (FetchAlignedCached) into `scratch`, under the
+  /// table's stats sink. On success *base points at entry `*first` inside
+  /// `scratch`, and [*first, *last] are the entries it holds.
   Status ReadEntryRange(size_t lo, size_t hi, std::string* scratch,
                         const char** base, size_t* first, size_t* last,
-                        OpStats stats = OpStats(), bool fill_cache = true);
+                        bool fill_cache);
 
   /// Entry-index lower bound via O(log n) single-entry probes; correctness
   /// fallback for Seek() when the model range does not bracket an absent
@@ -267,15 +288,14 @@ class TableReader {
   /// Bloom probe; false means the key is definitely absent. `stats` (may
   /// be null) overrides options_.stats for this call.
   bool MayContain(Key key, OpStats stats);
-  /// Serves the aligned byte range [byte_lo, byte_hi) into `dst` through
-  /// the block cache: all-hit spans copy out of the cache with zero Env
-  /// reads; otherwise one pread fetches the whole span (the same single
-  /// I/O the uncached path issues) and the missing blocks are inserted
-  /// when `fill_cache` is set.
+  /// Serves the aligned byte range [byte_lo, byte_hi) into `dst`: with a
+  /// block cache, all-hit spans copy out of it with zero Env reads;
+  /// otherwise one pread (timed as kDiskRead) fetches the whole span and,
+  /// with a cache and `fill_cache`, the missing blocks are inserted.
   Status FetchAlignedCached(uint64_t byte_lo, uint64_t byte_hi, char* dst,
                             OpStats stats, bool fill_cache);
   /// Cache probe of every io block of the aligned span [byte_lo, byte_hi),
-  /// shared by the sync and async paths. Hit blocks are copied into `dst`
+  /// shared by the inline and batched plans. Hit blocks are copied into `dst`
   /// and flagged in *block_hit. True (counting kBlockCacheHits) when every
   /// block hit: the span is assembled with zero Env reads. Otherwise every
   /// block counts as a kBlockCacheMiss — a partially warm span is refetched

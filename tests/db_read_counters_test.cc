@@ -1,8 +1,9 @@
 // Read-path counter pins: a fixed lookup sequence over a settled tree must
 // issue exactly the recorded device reads and stage counts. Point reads
-// and batched reads share one table-reader primitive (a Get is a one-key
-// MultiGet), so any change to how lookups screen, predict, or fetch shows
-// up here as a moved count — SimEnv counts every pread and its bytes.
+// and batched reads share one lookup body (a Get is a one-key MultiGet at
+// the DB layer, and a table lookup is a Prepare/Finish plan), so any
+// change to how lookups screen, predict, or fetch shows up here as a
+// moved count — SimEnv counts every pread and its bytes.
 #include <array>
 #include <string>
 #include <vector>
@@ -144,7 +145,10 @@ TEST_P(DbReadCountersTest, LookupSequenceMatchesPinnedCounts) {
 }
 
 // The counts were recorded when each table reader still had separate
-// point-read entry points; the one-primitive read path reproduces them.
+// point-read entry points, and kept when the sync MultiGet became the
+// inline Prepare/Finish plan and Get a one-key MultiGet. At io_depth 8 a
+// level with two or more runs reads through one batch (async_reads,
+// async_batches); every other plan, L0 and every Get included, is inline.
 INSTANTIATE_TEST_SUITE_P(
     Pinned, DbReadCountersTest,
     ::testing::Values(

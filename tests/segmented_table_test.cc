@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 
 #include "tests/test_util.h"
 #include "lsm/dbformat.h"
@@ -18,9 +19,28 @@ namespace {
 
 using testing_util::RandomGapKeys;
 using testing_util::ReaderGet;
+using testing_util::ReaderMultiGet;
 using testing_util::ScratchDir;
 
 constexpr uint32_t kValueSize = 64;
+
+/// How a lookup plan reads: inline (no batch) or on a read batch.
+enum class PlanMode { kInline, kBatched };
+
+const char* PlanModeName(PlanMode mode) {
+  return mode == PlanMode::kInline ? "inline" : "batched";
+}
+
+/// ReaderMultiGet in `mode`; a batched plan gets its own batch from `env`.
+Status PlannedMultiGet(PlanMode mode, Env* env, TableReader* reader,
+                       std::span<const Key> keys, std::string* values,
+                       uint64_t* tags, bool* founds,
+                       OpStats stats = OpStats()) {
+  std::unique_ptr<ReadBatch> batch =
+      mode == PlanMode::kBatched ? env->NewReadBatch(4) : nullptr;
+  return ReaderMultiGet(reader, keys, values, tags, founds, nullptr, nullptr,
+                        batch.get(), stats);
+}
 
 TableOptions MakeOptions(IndexType type, uint32_t boundary) {
   TableOptions options;
@@ -167,42 +187,6 @@ TEST_P(SegmentedTableTest, BoundedGetHonorsWindow) {
   }
 }
 
-TEST_P(SegmentedTableTest, MultiGetMatchesGetOnSortedRuns) {
-  // Ascending mix of present, absent-in-gap, and duplicate keys: the
-  // batched path's block reuse must be invisible in the results.
-  std::vector<Key> batch;
-  for (size_t i = 0; i < keys_.size(); i += 97) {
-    batch.push_back(keys_[i]);
-    batch.push_back(keys_[i]);      // duplicate: served from the buffer
-    batch.push_back(keys_[i] + 1);  // gaps are >= 1: usually absent
-  }
-  std::sort(batch.begin(), batch.end());
-
-  std::vector<std::string> values(batch.size());
-  std::vector<uint64_t> tags(batch.size(), 0);
-  std::unique_ptr<bool[]> founds(new bool[batch.size()]);
-  Stats local;
-  ASSERT_LILSM_OK(reader_->MultiGet(batch, nullptr, nullptr, values.data(),
-                                    tags.data(), founds.get(), &local));
-
-  std::string expected;
-  uint64_t expected_tag = 0;
-  bool expected_found = false;
-  for (size_t i = 0; i < batch.size(); i++) {
-    ASSERT_LILSM_OK(ReaderGet(reader_.get(), batch[i], &expected, &expected_tag,
-                                 &expected_found));
-    ASSERT_EQ(founds[i], expected_found) << "key " << batch[i];
-    if (expected_found) {
-      ASSERT_EQ(values[i], expected) << "key " << batch[i];
-      ASSERT_EQ(tags[i], expected_tag) << "key " << batch[i];
-    }
-  }
-  // The per-call sink saw the batch's probes, and the duplicates were
-  // answered without a second bloom probe (fewer probes than keys).
-  EXPECT_GT(local.TimerCount(Timer::kBloomCheck), 0u);
-  EXPECT_LT(local.TimerCount(Timer::kBloomCheck), batch.size());
-}
-
 TEST_P(SegmentedTableTest, ReadAllKeysRoundTrips) {
   std::vector<Key> read_keys;
   ASSERT_LILSM_OK(reader_->ReadAllKeys(&read_keys));
@@ -213,6 +197,106 @@ INSTANTIATE_TEST_SUITE_P(
     AllTypes, SegmentedTableTest, ::testing::ValuesIn(kAllIndexTypes),
     [](const ::testing::TestParamInfo<IndexType>& info) {
       return std::string(IndexTypeName(info.param));
+    });
+
+class SegmentedTablePlanTest
+    : public ::testing::TestWithParam<std::tuple<IndexType, PlanMode>> {
+ protected:
+  void SetUp() override {
+    dir_ = std::make_unique<ScratchDir>("segtable_plan");
+    options_ = MakeOptions(std::get<0>(GetParam()), 32);
+    keys_ = RandomGapKeys(20000, 77, /*max_gap=*/5000);
+    const std::string fname = dir_->file("000001.lst");
+    ASSERT_LILSM_OK(BuildTable(options_, fname, keys_));
+    ASSERT_LILSM_OK(TableReader::Open(options_, fname, &reader_));
+  }
+
+  PlanMode mode() const { return std::get<1>(GetParam()); }
+
+  std::unique_ptr<ScratchDir> dir_;
+  TableOptions options_;
+  std::vector<Key> keys_;
+  std::unique_ptr<TableReader> reader_;
+};
+
+TEST_P(SegmentedTablePlanTest, MultiGetMatchesGetOnSortedRuns) {
+  // Ascending mix of present, absent-in-gap, and duplicate keys: how the
+  // plan shares spans must be invisible in the results.
+  std::vector<Key> batch;
+  for (size_t i = 0; i < keys_.size(); i += 97) {
+    batch.push_back(keys_[i]);
+    batch.push_back(keys_[i]);      // duplicate: served from the same span
+    batch.push_back(keys_[i] + 1);  // gaps are >= 1: usually absent
+  }
+  batch.push_back(keys_.back() + 1);  // past the table: no probe at all
+  std::sort(batch.begin(), batch.end());
+
+  std::vector<std::string> values(batch.size());
+  std::vector<uint64_t> tags(batch.size(), 0);
+  std::unique_ptr<bool[]> founds(new bool[batch.size()]);
+  Stats local;
+  ASSERT_LILSM_OK(PlannedMultiGet(mode(), options_.env, reader_.get(), batch,
+                                  values.data(), tags.data(), founds.get(),
+                                  &local));
+
+  std::string expected;
+  uint64_t expected_tag = 0;
+  bool expected_found = false;
+  for (size_t i = 0; i < batch.size(); i++) {
+    ASSERT_LILSM_OK(ReaderGet(reader_.get(), batch[i], &expected,
+                              &expected_tag, &expected_found));
+    ASSERT_EQ(founds[i], expected_found) << "key " << batch[i];
+    if (expected_found) {
+      ASSERT_EQ(values[i], expected) << "key " << batch[i];
+      ASSERT_EQ(tags[i], expected_tag) << "key " << batch[i];
+    }
+  }
+  const uint64_t probes = local.TimerCount(Timer::kBloomCheck);
+  const uint64_t spans = local.Count(Counter::kSegmentsFetched);
+  const uint64_t negatives = local.Count(Counter::kBloomNegatives);
+  EXPECT_EQ(local.Count(Counter::kBloomTruePositive) +
+                local.Count(Counter::kBloomFalsePositive) + negatives,
+            probes);
+  if (mode() == PlanMode::kInline) {
+    // Every probe that passed fetched its own span; the duplicates and
+    // the keys inside a fetched span's key range were answered from it.
+    EXPECT_EQ(probes, negatives + spans);
+    EXPECT_LT(probes, batch.size() - 1);
+  } else {
+    // The batched plan probes every key in the table's range, merging
+    // overlapping windows into shared spans.
+    EXPECT_EQ(probes, batch.size() - 1);
+    EXPECT_LE(spans, probes - negatives);
+  }
+}
+
+// Two neighbours in the first io block: the inline plan answers the second
+// from the span fetched for the first, with no bloom probe; the batched
+// plan probes both and merges their windows into one span.
+TEST_P(SegmentedTablePlanTest, KeyInsideFetchedSpanCostsNoProbe) {
+  ASSERT_LT(12 * options_.entry_size(), kIoBlockSize);
+  const std::vector<Key> batch = {keys_[10], keys_[11]};
+  std::string values[2];
+  uint64_t tags[2] = {0, 0};
+  bool founds[2] = {false, false};
+  Stats local;
+  ASSERT_LILSM_OK(PlannedMultiGet(mode(), options_.env, reader_.get(), batch,
+                                  values, tags, founds, &local));
+  EXPECT_TRUE(founds[0] && founds[1]);
+  EXPECT_EQ(values[1], DeriveValue(keys_[11], kValueSize));
+  EXPECT_EQ(local.Count(Counter::kSegmentsFetched), 1u);
+  EXPECT_EQ(local.TimerCount(Timer::kBloomCheck),
+            mode() == PlanMode::kInline ? 1u : 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTypes, SegmentedTablePlanTest,
+    ::testing::Combine(::testing::ValuesIn(kAllIndexTypes),
+                       ::testing::Values(PlanMode::kInline,
+                                         PlanMode::kBatched)),
+    [](const ::testing::TestParamInfo<std::tuple<IndexType, PlanMode>>& info) {
+      return std::string(IndexTypeName(std::get<0>(info.param))) + "_" +
+             PlanModeName(std::get<1>(info.param));
     });
 
 // ---- format-level failure behaviour ----
@@ -477,8 +561,12 @@ class StrictBoundsEnv final : public Env {
 /// under a reader whose file ends at the data region's block boundary,
 /// cross EOF. Every access pattern that touches the last entries runs
 /// against the strict-bounds env.
-TEST(SegmentedTableBoundaryTest, LastSegmentClampsToDataEnd) {
-  ScratchDir dir("segbound");
+class SegmentedTableBoundaryPlanTest
+    : public ::testing::TestWithParam<PlanMode> {};
+
+TEST_P(SegmentedTableBoundaryPlanTest, LastSegmentClampsToDataEnd) {
+  const PlanMode mode = GetParam();
+  ScratchDir dir(std::string("segbound_") + PlanModeName(mode));
   TableOptions options = MakeOptions(IndexType::kPGM, 64);
   const std::string fname = dir.file("t.lst");
   // 101 * 96 = 9696 bytes of data: ends mid-way through block 2.
@@ -495,17 +583,22 @@ TEST(SegmentedTableBoundaryTest, LastSegmentClampsToDataEnd) {
   std::string value;
   uint64_t tag = 0;
   bool found = false;
+  auto get = [&](Key key, const size_t* lo = nullptr,
+                 const size_t* hi = nullptr) {
+    std::unique_ptr<ReadBatch> batch =
+        mode == PlanMode::kBatched ? strict.NewReadBatch(4) : nullptr;
+    return ReaderMultiGet(reader.get(), std::span<const Key>(&key, 1), &value,
+                          &tag, &found, lo, hi, batch.get());
+  };
   for (size_t i = 0; i < keys.size(); i++) {
-    ASSERT_LILSM_OK(ReaderGet(reader.get(), keys[i], &value, &tag, &found));
+    ASSERT_LILSM_OK(get(keys[i]));
     ASSERT_TRUE(found) << "key index " << i;
     EXPECT_EQ(value, DeriveValue(keys[i], kValueSize));
   }
   // Absent keys past the last entry's block boundary.
-  ASSERT_LILSM_OK(
-      ReaderGet(reader.get(), keys.back() - 1, &value, &tag, &found));
+  ASSERT_LILSM_OK(get(keys.back() - 1));
   const size_t lo = keys.size() - 2, hi = keys.size() + 50;
-  ASSERT_LILSM_OK(
-      ReaderGet(reader.get(), keys.back(), &value, &tag, &found, &lo, &hi));
+  ASSERT_LILSM_OK(get(keys.back(), &lo, &hi));
   EXPECT_TRUE(found);
 
   // Full scan and tail seeks drive the iterator's block-by-block fetches
@@ -522,17 +615,27 @@ TEST(SegmentedTableBoundaryTest, LastSegmentClampsToDataEnd) {
   EXPECT_FALSE(iter->Valid());
   ASSERT_LILSM_OK(iter->status());
 
-  // The batched path's block reuse around the tail.
+  // A multi-key plan's span sharing around the tail.
   std::vector<Key> batch = {keys[keys.size() - 3], keys[keys.size() - 2],
                             keys.back(), keys.back() + 10};
   std::vector<std::string> values(batch.size());
   std::vector<uint64_t> tags(batch.size());
   std::unique_ptr<bool[]> founds(new bool[batch.size()]);
-  ASSERT_LILSM_OK(reader->MultiGet(batch, nullptr, nullptr, values.data(),
-                                   tags.data(), founds.get(), nullptr));
+  ASSERT_LILSM_OK(PlannedMultiGet(mode, &strict, reader.get(), batch,
+                                  values.data(), tags.data(), founds.get()));
   EXPECT_TRUE(founds[0] && founds[1] && founds[2]);
   EXPECT_FALSE(founds[3]);
+  for (size_t i = 0; i < 3; i++) {
+    EXPECT_EQ(values[i], DeriveValue(batch[i], kValueSize));
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    PlanModes, SegmentedTableBoundaryPlanTest,
+    ::testing::Values(PlanMode::kInline, PlanMode::kBatched),
+    [](const ::testing::TestParamInfo<PlanMode>& info) {
+      return std::string(PlanModeName(info.param));
+    });
 
 /// The same boundary contract holds with a block cache attached: cached
 /// assembly of the final partial block must match the direct read.

@@ -78,14 +78,33 @@ inline std::vector<Key> RandomGapKeys(size_t n, uint64_t seed,
   return keys;
 }
 
-/// Point lookup through a table reader: a one-key MultiGet, optionally
-/// with a level-model style inclusive entry window [*lo, *hi].
+/// Batched point lookup through a table reader's one lookup body:
+/// PrepareMultiGet then FinishMultiGet. With `batch` null the plan reads
+/// inline; otherwise its reads go on `batch`, which is waited in between.
+/// `lo`/`hi` are optional level-model style inclusive entry windows.
+inline Status ReaderMultiGet(TableReader* reader, std::span<const Key> keys,
+                             std::string* values, uint64_t* tags, bool* founds,
+                             const size_t* lo = nullptr,
+                             const size_t* hi = nullptr,
+                             ReadBatch* batch = nullptr,
+                             OpStats stats = OpStats()) {
+  PendingMultiGet pending;
+  Status s = reader->PrepareMultiGet(keys, lo, hi, batch, &pending, stats);
+  if (batch != nullptr) {
+    Status ws = batch->Wait();
+    if (s.ok()) s = ws;
+  }
+  if (!s.ok()) return s;
+  return reader->FinishMultiGet(&pending, values, tags, founds, stats);
+}
+
+/// Point lookup through a table reader: a one-key inline plan.
 inline Status ReaderGet(TableReader* reader, Key key, std::string* value,
                         uint64_t* tag, bool* found,
                         const size_t* lo = nullptr,
                         const size_t* hi = nullptr) {
-  return reader->MultiGet(std::span<const Key>(&key, 1), lo, hi, value, tag,
-                          found, /*stats=*/nullptr);
+  return ReaderMultiGet(reader, std::span<const Key>(&key, 1), value, tag,
+                        found, lo, hi);
 }
 
 /// A gate/counting Env wrapper for the files whose names end in

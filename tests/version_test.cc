@@ -51,19 +51,6 @@ TEST(VersionEditTest, RejectsGarbage) {
   EXPECT_TRUE(edit.DecodeFrom(Slice("\xff\xff\xff garbage")).IsCorruption());
 }
 
-TEST(VersionTest, FindFileBinarySearches) {
-  Version v;
-  v.files_[1] = {MakeFile(1, 10, 20), MakeFile(2, 30, 40),
-                 MakeFile(3, 50, 60)};
-  EXPECT_EQ(v.FindFile(1, 15), 0);
-  EXPECT_EQ(v.FindFile(1, 30), 1);
-  EXPECT_EQ(v.FindFile(1, 40), 1);
-  EXPECT_EQ(v.FindFile(1, 60), 2);
-  EXPECT_EQ(v.FindFile(1, 25), -1);  // gap
-  EXPECT_EQ(v.FindFile(1, 5), -1);   // before
-  EXPECT_EQ(v.FindFile(1, 70), -1);  // after
-}
-
 TEST(VersionTest, GetOverlappingAndBelow) {
   Version v;
   v.files_[2] = {MakeFile(1, 10, 20), MakeFile(2, 30, 40),
