@@ -669,7 +669,8 @@ class DBImpl final : public DB {
   /// Between calls they hold no TableReader reference, and at most a
   /// batch of kRetainedBatch keys' worth of memory (the server clients'
   /// default batch; freeing the buffers after every call fragments the
-  /// heap around block-cache inserts).
+  /// heap around block-cache inserts). Span bytes live in the table
+  /// reader's per-thread pool, not here.
   static constexpr size_t kRetainedBatch = 256;
   struct LookupScratch {
     /// One run of a level's plan: ascending keys bound for one table.

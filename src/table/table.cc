@@ -452,11 +452,30 @@ bool TableReader::SearchBuffer(const char* base, size_t first, size_t lo,
   return true;
 }
 
+namespace {
+
+/// Span buffers of this thread's finished plans, lent to its next ones: a
+/// thread keeps about one plan's span memory (at most kPooledSpanBuffers
+/// buffers), however many PendingMultiGet objects it holds.
+constexpr size_t kPooledSpanBuffers = 64;
+
+std::vector<std::string>& SpanBufferPool() {
+  thread_local std::vector<std::string> pool;
+  return pool;
+}
+
+}  // namespace
+
 PendingMultiGet::Span& PendingMultiGet::NewSpan(uint64_t byte_lo,
                                                 uint64_t byte_hi,
                                                 size_t first) {
   if (num_spans_ == spans_.size()) spans_.emplace_back();
   Span& span = spans_[num_spans_++];
+  std::vector<std::string>& pool = SpanBufferPool();
+  if (span.buffer.empty() && !pool.empty()) {
+    span.buffer = std::move(pool.back());
+    pool.pop_back();
+  }
   span.byte_lo = byte_lo;
   span.byte_hi = byte_hi;
   span.first = first;
@@ -595,6 +614,16 @@ Status TableReader::FinishMultiGet(PendingMultiGet* pending,
       stats.Add(founds[i] ? Counter::kBloomTruePositive
                           : Counter::kBloomFalsePositive);
     }
+  }
+
+  // The plan is spent: lend its buffers to the thread's next plan.
+  std::vector<std::string>& pool = SpanBufferPool();
+  for (size_t k = 0; k < pending->num_spans_; k++) {
+    std::string& buffer = pending->spans_[k].buffer;
+    if (pool.size() < kPooledSpanBuffers) {
+      pool.push_back(std::move(buffer));
+    }
+    std::string().swap(buffer);
   }
   return Status::OK();
 }

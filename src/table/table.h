@@ -126,8 +126,9 @@ class TableBuilder {
 /// One run's lookup plan, carried from PrepareMultiGet to FinishMultiGet:
 /// the keys that survived range/bloom screening, their search bounds, and
 /// the aligned byte spans backing them. The caller owns it and may reuse
-/// it across calls — its buffers keep their capacity, so a warm one-key
-/// lookup allocates nothing. It holds no reference to the reader.
+/// it across calls; Finish lends its span buffers to the thread's next
+/// plan, so a warm one-key lookup allocates nothing. It holds no
+/// reference to the reader.
 /// Destroying or reusing a pending object whose batch has not been waited
 /// is illegal (requests reference its buffers).
 class PendingMultiGet {
