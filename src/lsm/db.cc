@@ -666,24 +666,22 @@ class DBImpl final : public DB {
 
   /// Per-thread buffers of the lookup core, reused by every Get and
   /// MultiGet on the thread, so a warm one-key lookup allocates nothing.
-  /// Between calls they hold no TableReader reference, and at most a
+  /// They hold no TableReader reference, and between calls at most a
   /// batch of kRetainedBatch keys' worth of memory (the server clients'
   /// default batch; freeing the buffers after every call fragments the
-  /// heap around block-cache inserts). Span bytes live in the table
-  /// reader's per-thread pool, not here.
+  /// heap around block-cache inserts).
   static constexpr size_t kRetainedBatch = 256;
   struct LookupScratch {
     /// One run of a level's plan: ascending keys bound for one table.
     struct Run {
       size_t file = 0;            // index into the level's file list
       size_t begin = 0, end = 0;  // [begin, end) of the flat arrays
-      std::shared_ptr<TableReader> reader;
     };
 
     std::vector<uint32_t> order;
     std::vector<uint8_t> done;
     std::vector<Run> runs;
-    std::vector<PendingMultiGet> pending;  // pending[r] serves runs[r]
+    PendingMultiGet pending;  // the inline plan, reused run after run
     std::vector<uint32_t> run_idx;
     std::vector<Key> run_keys;
     std::vector<size_t> run_lo, run_hi;
@@ -692,7 +690,7 @@ class DBImpl final : public DB {
     std::unique_ptr<bool[]> run_found;
     size_t run_found_size = 0;
 
-    /// Sizes the per-key run arrays for `total` keys and the planned runs.
+    /// Sizes the per-key run arrays for `total` keys.
     void Reserve(size_t total, bool bounds) {
       if (run_values.size() < total) run_values.resize(total);
       if (run_tags.size() < total) run_tags.resize(total);
@@ -704,7 +702,6 @@ class DBImpl final : public DB {
         run_found.reset(new bool[total]);
         run_found_size = total;
       }
-      if (pending.size() < runs.size()) pending.resize(runs.size());
     }
   };
 
@@ -729,19 +726,13 @@ class DBImpl final : public DB {
                           bool fill_cache) {
     LookupScratch& scratch = ThreadLookupScratch();
     const size_t n = keys.size();
-    // On every exit, drop the plan's reader references and, after a larger
-    // batch, the buffers it grew.
-    struct Release {
+    // On every exit after a larger batch, drop the buffers it grew.
+    struct Shrink {
       LookupScratch* scratch;
-      bool large;
-      ~Release() {
-        if (large) {
-          *scratch = LookupScratch();
-        } else {
-          scratch->runs.clear();
-        }
+      ~Shrink() {
+        if (scratch != nullptr) *scratch = LookupScratch();
       }
-    } release{&scratch, n > kRetainedBatch};
+    } shrink{n > kRetainedBatch ? &scratch : nullptr};
     std::vector<uint32_t>& order = scratch.order;
     order.resize(n);
     for (uint32_t i = 0; i < n; i++) order[i] = i;
@@ -796,28 +787,42 @@ class DBImpl final : public DB {
     /// Appends key `idx` to the plan, opening a run when `file` changes.
     auto add_key = [&](uint32_t idx, size_t file) {
       if (runs.empty() || runs.back().file != file) {
-        runs.push_back({file, run_keys.size(), run_keys.size(), nullptr});
+        runs.push_back({file, run_keys.size(), run_keys.size()});
       }
       runs.back().end++;
       run_idx.push_back(idx);
       run_keys.push_back(keys[idx]);
     };
-    /// Serves the planned runs against `files` and resolves their hits:
-    /// Prepare every run (on one read batch, Waited once, when the level
-    /// has reads to overlap), then Finish every run. `model` (may be null)
-    /// supplies each run's level-model windows; a run with any key the
-    /// model cannot place falls back to the per-file index.
+    /// Serves the planned runs against `files` and resolves their hits.
+    /// Inline, each run is prepared and finished on the one reused plan.
+    /// With a read batch every run is prepared on its own plan, the batch
+    /// is Waited once, then every run is finished; those plans free their
+    /// buffers after, as that path waits on the device anyway. `model`
+    /// (may be null) supplies each run's level-model windows; a run with
+    /// any key the model cannot place falls back to the per-file index.
     auto serve_runs = [&](const std::vector<FileMeta>& files,
                           const LevelModel* model) -> Status {
       const size_t total = run_keys.size();
       scratch.Reserve(total, model != nullptr);
       bool* found = scratch.run_found.get();
-      std::unique_ptr<ReadBatch> batch =
-          options_.io_depth > 1 && runs.size() > 1
-              ? env_->NewReadBatch(options_.io_depth)
-              : nullptr;
+      struct BatchedRun {
+        std::shared_ptr<TableReader> reader;
+        PendingMultiGet pending;
+      };
+      std::vector<BatchedRun> batched;
+      std::unique_ptr<ReadBatch> batch;
+      if (options_.io_depth > 1 && runs.size() > 1) {
+        batch = env_->NewReadBatch(options_.io_depth);
+        batched.resize(runs.size());
+      }
+      auto finish = [&](TableReader* reader, PendingMultiGet* pending,
+                        const LookupScratch::Run& run) {
+        return reader->FinishMultiGet(pending, &scratch.run_values[run.begin],
+                                      &scratch.run_tags[run.begin],
+                                      &found[run.begin], sink);
+      };
       for (size_t r = 0; r < runs.size(); r++) {
-        LookupScratch::Run& run = runs[r];
+        const LookupScratch::Run& run = runs[r];
         bool bounds = model != nullptr;
         for (size_t k = run.begin; k < run.end && bounds; k++) {
           bounds = ModelCatalog::PredictInFile(*model, run_keys[k], run.file,
@@ -825,15 +830,23 @@ class DBImpl final : public DB {
                                                &scratch.run_hi[k]);
         }
         sink.Add(Counter::kTablesConsulted);
-        Status s = table_cache_->GetReader(files[run.file].number,
-                                           &run.reader);
+        std::shared_ptr<TableReader> reader;
+        Status s = table_cache_->GetReader(files[run.file].number, &reader);
         if (!s.ok()) return s;
-        s = run.reader->PrepareMultiGet(
+        PendingMultiGet* pending =
+            batch != nullptr ? &batched[r].pending : &scratch.pending;
+        s = reader->PrepareMultiGet(
             std::span<const Key>(run_keys.data() + run.begin,
                                  run.end - run.begin),
             bounds ? scratch.run_lo.data() + run.begin : nullptr,
             bounds ? scratch.run_hi.data() + run.begin : nullptr, batch.get(),
-            &scratch.pending[r], sink, fill_cache);
+            pending, sink, fill_cache);
+        if (!s.ok()) return s;
+        if (batch != nullptr) {
+          batched[r].reader = std::move(reader);
+          continue;
+        }
+        s = finish(reader.get(), pending, run);
         if (!s.ok()) return s;
       }
       if (batch != nullptr) {
@@ -844,13 +857,11 @@ class DBImpl final : public DB {
         }
         sink.Add(Counter::kAsyncBatches);
         if (!ws.ok()) return ws;
-      }
-      for (size_t r = 0; r < runs.size(); r++) {
-        const LookupScratch::Run& run = runs[r];
-        Status s = run.reader->FinishMultiGet(
-            &scratch.pending[r], &scratch.run_values[run.begin],
-            &scratch.run_tags[run.begin], &found[run.begin], sink);
-        if (!s.ok()) return s;
+        for (size_t r = 0; r < runs.size(); r++) {
+          Status s = finish(batched[r].reader.get(), &batched[r].pending,
+                            runs[r]);
+          if (!s.ok()) return s;
+        }
       }
       for (size_t k = 0; k < total; k++) {
         if (!found[k]) continue;
@@ -891,21 +902,17 @@ class DBImpl final : public DB {
       if (files.empty()) continue;
 
       // Walk files and sorted keys in lockstep, cutting a run at every
-      // file change: each key's file is a binary search for the first
-      // file whose largest key is >= it, resumed at the previous key's
-      // file. The I/O happens after, outside the kTableLookup timer.
+      // file change; each key's file search resumes at the previous
+      // key's file. The I/O happens after, outside the kTableLookup timer.
       clear_plan();
       const uint64_t plan_start = sink.Start(env_);
-      auto file = files.begin();
+      size_t from = 0;
       for (uint32_t idx : order) {
         if (done[idx]) continue;
-        const Key key = keys[idx];
-        file = std::lower_bound(
-            file, files.end(), key,
-            [](const FileMeta& f, Key k) { return f.largest < k; });
-        if (file == files.end()) break;
-        if (key < file->smallest) continue;
-        add_key(idx, static_cast<size_t>(file - files.begin()));
+        const int file = v.FindFile(level, keys[idx], from);
+        if (file < 0) continue;
+        from = static_cast<size_t>(file);
+        add_key(idx, from);
       }
       const uint64_t plan_nanos =
           sink.Stop(Timer::kTableLookup, env_, plan_start);

@@ -154,6 +154,17 @@ int Version::MaxPopulatedLevel() const {
   return -1;
 }
 
+int Version::FindFile(int level, Key key, size_t from) const {
+  const std::vector<FileMeta>& files = files_[level];
+  if (from >= files.size()) return -1;
+  // First file with largest >= key.
+  auto it = std::lower_bound(
+      files.begin() + static_cast<std::ptrdiff_t>(from), files.end(), key,
+      [](const FileMeta& f, Key k) { return f.largest < k; });
+  if (it == files.end() || it->smallest > key) return -1;
+  return static_cast<int>(it - files.begin());
+}
+
 std::vector<FileMeta> Version::GetOverlapping(int level, Key smallest,
                                               Key largest) const {
   std::vector<FileMeta> result;

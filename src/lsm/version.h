@@ -108,6 +108,12 @@ class Version {
   /// Highest level containing any file (-1 when empty).
   int MaxPopulatedLevel() const;
 
+  /// For levels >= 1: index of the single file whose range may contain
+  /// `key`, or -1. The search starts at file `from`, which must not be
+  /// past that file: a walk over ascending keys passes the previous key's
+  /// file. For level 0 use files() directly (newest first).
+  int FindFile(int level, Key key, size_t from = 0) const;
+
   /// Files in `level` overlapping [smallest, largest].
   std::vector<FileMeta> GetOverlapping(int level, Key smallest,
                                        Key largest) const;

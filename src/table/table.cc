@@ -365,8 +365,13 @@ Status TableReader::ReadEntryRange(size_t lo, size_t hi, std::string* scratch,
   const AlignedSpan span = Align(lo, hi);
   const size_t len = static_cast<size_t>(span.byte_hi - span.byte_lo);
   if (scratch->size() < len) scratch->resize(len);
-  Status s = FetchAlignedCached(span.byte_lo, span.byte_hi, scratch->data(),
-                                options_.stats, fill_cache);
+  // Iterator reads (scans, compaction inputs) count their block-cache
+  // probes on the table's sink, but an uncached table's preads stay out
+  // of its kDiskRead timer, which belongs to point lookups.
+  Status s = FetchAlignedCached(
+      span.byte_lo, span.byte_hi, scratch->data(),
+      options_.block_cache != nullptr ? options_.stats : OpStats(),
+      fill_cache);
   if (!s.ok()) return s;
   *base = scratch->data() + EntryOffset(span.byte_lo, span.first);
   *first = span.first;
@@ -452,30 +457,11 @@ bool TableReader::SearchBuffer(const char* base, size_t first, size_t lo,
   return true;
 }
 
-namespace {
-
-/// Span buffers of this thread's finished plans, lent to its next ones: a
-/// thread keeps about one plan's span memory (at most kPooledSpanBuffers
-/// buffers), however many PendingMultiGet objects it holds.
-constexpr size_t kPooledSpanBuffers = 64;
-
-std::vector<std::string>& SpanBufferPool() {
-  thread_local std::vector<std::string> pool;
-  return pool;
-}
-
-}  // namespace
-
 PendingMultiGet::Span& PendingMultiGet::NewSpan(uint64_t byte_lo,
                                                 uint64_t byte_hi,
                                                 size_t first) {
   if (num_spans_ == spans_.size()) spans_.emplace_back();
   Span& span = spans_[num_spans_++];
-  std::vector<std::string>& pool = SpanBufferPool();
-  if (span.buffer.empty() && !pool.empty()) {
-    span.buffer = std::move(pool.back());
-    pool.pop_back();
-  }
   span.byte_lo = byte_lo;
   span.byte_hi = byte_hi;
   span.first = first;
@@ -616,15 +602,6 @@ Status TableReader::FinishMultiGet(PendingMultiGet* pending,
     }
   }
 
-  // The plan is spent: lend its buffers to the thread's next plan.
-  std::vector<std::string>& pool = SpanBufferPool();
-  for (size_t k = 0; k < pending->num_spans_; k++) {
-    std::string& buffer = pending->spans_[k].buffer;
-    if (pool.size() < kPooledSpanBuffers) {
-      pool.push_back(std::move(buffer));
-    }
-    std::string().swap(buffer);
-  }
   return Status::OK();
 }
 

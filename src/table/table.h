@@ -126,9 +126,8 @@ class TableBuilder {
 /// One run's lookup plan, carried from PrepareMultiGet to FinishMultiGet:
 /// the keys that survived range/bloom screening, their search bounds, and
 /// the aligned byte spans backing them. The caller owns it and may reuse
-/// it across calls; Finish lends its span buffers to the thread's next
-/// plan, so a warm one-key lookup allocates nothing. It holds no
-/// reference to the reader.
+/// it across calls; its spans keep their buffers, so a warm reused plan
+/// allocates nothing. It holds no reference to the reader.
 /// Destroying or reusing a pending object whose batch has not been waited
 /// is illegal (requests reference its buffers).
 class PendingMultiGet {
@@ -151,7 +150,7 @@ class PendingMultiGet {
     size_t hi = 0;  // inclusive entry bounds for the buffer search
   };
 
-  /// Opens span number num_spans_, reusing a retired one's buffers.
+  /// Opens span number num_spans_, reusing an earlier plan's buffer.
   Span& NewSpan(uint64_t byte_lo, uint64_t byte_hi, size_t first);
 
   std::span<const Key> keys_;  // the caller's, alive until Finish
@@ -269,9 +268,11 @@ class TableReader {
   }
 
   /// Reads the entry range [lo, hi] (inclusive, lo <= hi < count) with
-  /// one aligned fetch (FetchAlignedCached) into `scratch`, under the
-  /// table's stats sink. On success *base points at entry `*first` inside
-  /// `scratch`, and [*first, *last] are the entries it holds.
+  /// one aligned fetch (FetchAlignedCached) into `scratch` — the
+  /// iterators' read. Cache probes count on the table's stats sink; the
+  /// pread is timed as kDiskRead only when the table has a block cache.
+  /// On success *base points at entry `*first` inside `scratch`, and
+  /// [*first, *last] are the entries it holds.
   Status ReadEntryRange(size_t lo, size_t hi, std::string* scratch,
                         const char** base, size_t* first, size_t* last,
                         bool fill_cache);

@@ -51,6 +51,32 @@ TEST(VersionEditTest, RejectsGarbage) {
   EXPECT_TRUE(edit.DecodeFrom(Slice("\xff\xff\xff garbage")).IsCorruption());
 }
 
+TEST(VersionTest, FindFileBinarySearches) {
+  Version v;
+  v.files_[1] = {MakeFile(1, 10, 20), MakeFile(2, 30, 40),
+                 MakeFile(3, 50, 60)};
+  EXPECT_EQ(v.FindFile(1, 15), 0);
+  EXPECT_EQ(v.FindFile(1, 30), 1);
+  EXPECT_EQ(v.FindFile(1, 40), 1);
+  EXPECT_EQ(v.FindFile(1, 60), 2);
+  EXPECT_EQ(v.FindFile(1, 25), -1);  // gap
+  EXPECT_EQ(v.FindFile(1, 5), -1);   // before
+  EXPECT_EQ(v.FindFile(1, 70), -1);  // after
+}
+
+TEST(VersionTest, FindFileResumesAtHint) {
+  Version v;
+  v.files_[1] = {MakeFile(1, 10, 20), MakeFile(2, 30, 40),
+                 MakeFile(3, 50, 60)};
+  EXPECT_EQ(v.FindFile(1, 30, 1), 1);   // the hint is the key's file
+  EXPECT_EQ(v.FindFile(1, 40, 1), 1);   // its last key
+  EXPECT_EQ(v.FindFile(1, 55, 1), 2);   // a later file
+  EXPECT_EQ(v.FindFile(1, 45, 1), -1);  // gap after the hint
+  EXPECT_EQ(v.FindFile(1, 70, 2), -1);  // after the last file
+  EXPECT_EQ(v.FindFile(1, 60, 3), -1);  // hint past the level
+  EXPECT_EQ(v.FindFile(2, 15), -1);     // empty level
+}
+
 TEST(VersionTest, GetOverlappingAndBelow) {
   Version v;
   v.files_[2] = {MakeFile(1, 10, 20), MakeFile(2, 30, 40),
