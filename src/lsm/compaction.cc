@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "lsm/merger.h"
+#include "util/check.h"
 #include "util/mutex.h"
 
 namespace lilsm {
@@ -193,7 +194,10 @@ Status CompactionJob::Run(const VersionSet::CompactionPick& pick,
   const int output_level = pick.level + 1;
   std::vector<Shard> shards = PlanShards(pick);
 
-  if (shards.size() > 1 && ctx_.subcompaction_pool != nullptr) {
+  if (shards.size() == 1) {
+    MergeShard(pick, base, &shards[0]);
+  } else {
+    LILSM_ASSERT(ctx_.subcompaction_pool != nullptr);
     if (stats != nullptr) {
       stats->Add(Counter::kSubcompactions, shards.size());
     }
@@ -213,14 +217,6 @@ Status CompactionJob::Run(const VersionSet::CompactionPick& pick,
     MergeShard(pick, base, &shards[0]);
     MutexLock lock(&mu);
     while (pending != 0) done_cv.Wait();
-  } else {
-    if (shards.size() > 1 && stats != nullptr) {
-      stats->Add(Counter::kSubcompactions, shards.size());
-    }
-    for (Shard& shard : shards) {
-      MergeShard(pick, base, &shard);
-      if (!shard.status.ok()) break;  // later shards never started
-    }
   }
 
   // Aggregate: every finished output goes into the edit even on failure,

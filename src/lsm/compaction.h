@@ -42,8 +42,8 @@ struct CompactionContext {
   /// Range-partitioned subcompactions: with max_subcompactions > 1 the
   /// job splits at next-level file boundaries and runs the shards on
   /// `subcompaction_pool` (the parent thread merges one shard itself, so
-  /// N shards occupy N-1 pool threads; a null pool degrades to running
-  /// the shards sequentially — same outputs, no parallelism).
+  /// N shards occupy N-1 pool threads). max_subcompactions > 1 requires
+  /// a pool.
   ThreadPool* subcompaction_pool = nullptr;
   int max_subcompactions = 1;
   /// Blocks of readahead for each input iterator (0 = synchronous reads).

@@ -98,7 +98,7 @@ class DBImpl final : public DB {
     table_cache_ = std::make_unique<TableCache>(MakeTableOptions(), dbname_,
                                                 options_.max_open_tables);
     model_catalog_ = std::make_unique<ModelCatalog>(
-        env_, &stats_, options_.model_stitch_blowup, dbname_,
+        env_, &stats_, dbname_,
         options_.model_persistence == ModelPersistence::kSidecar);
     mem_ = new MemTable();
     mem_->Ref();

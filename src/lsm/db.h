@@ -63,8 +63,9 @@ enum class LevelModelPolicy : uint8_t {
   /// Flush and compaction produce model updates: per-file trained
   /// segments are stitched into the level model at version-install time
   /// (touching only changed files, zero key re-reads), with a full
-  /// retrain fallback governed by model_stitch_blowup. Bourbon-style
-  /// train-on-the-write-path for write-heavy serving. Engages only when
+  /// retrain fallback when the stitch's segment density blows up
+  /// (ModelCatalog::kStitchBlowup). Bourbon-style train-on-the-write-path
+  /// for write-heavy serving. Engages only when
   /// the read path can consult level models (kLevel granularity);
   /// non-segment index types (RMI, RadixSpline, PLEX, fence pointers)
   /// cannot stitch, so for them the write path produces nothing and
@@ -226,10 +227,6 @@ struct DBOptions {
 
   /// Level-model lifecycle for IndexGranularity::kLevel (see DESIGN.md).
   LevelModelPolicy level_model_policy = LevelModelPolicy::kLazyRebuild;
-  /// kCompactionMaintained only: fall back to a full level retrain when
-  /// the stitched model's segments-per-entry density exceeds this multiple
-  /// of the level's best observed density. <= 0 disables the fallback.
-  double model_stitch_blowup = 4.0;
   /// Where open-time level models come from under kCompactionMaintained.
   ModelPersistence model_persistence = ModelPersistence::kSidecar;
 

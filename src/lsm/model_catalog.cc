@@ -153,7 +153,7 @@ Status ModelCatalog::BuildForInstall(const std::vector<FileMeta>& files,
     if (prev != nullptr && prev->baseline_density > 0) {
       baseline = std::min(baseline, prev->baseline_density);
     }
-    if (stitch_blowup_ <= 0 || density <= stitch_blowup_ * baseline) {
+    if (density <= kStitchBlowup * baseline) {
       // Predict with the widest bound the adopted segments were actually
       // trained under: a (drifted) narrower runtime epsilon would
       // otherwise under-cover and turn present keys into NotFound.

@@ -98,26 +98,26 @@ class VersionModels {
 
 class ModelCatalog {
  public:
-  /// `stitch_blowup`: full-retrain fallback triggers when the stitched
+  /// A stitched level model falls back to a full retrain when its
   /// segments-per-entry density exceeds this multiple of the level's
-  /// baseline density; <= 0 disables the fallback.
-  ///
+  /// baseline density.
+  static constexpr double kStitchBlowup = 4.0;
+
   /// With `sidecar_first` set (and a non-empty `dbname` to resolve table
   /// paths), a segment-cache miss first tries the file's persisted model
   /// sidecar — two preads, no reader construction, no key scan
   /// (Counter::kModelsLoadedFromDisk) — and only falls back to opening
   /// the reader and exporting its in-memory index on a missing or
   /// corrupt sidecar (Counter::kModelSidecarFallbacks).
-  ModelCatalog(Env* env, Stats* stats, double stitch_blowup,
-               std::string dbname = std::string(), bool sidecar_first = false)
+  ModelCatalog(Env* env, Stats* stats, std::string dbname = std::string(),
+               bool sidecar_first = false)
       : env_(env),
         stats_(stats),
-        stitch_blowup_(stitch_blowup),
         dbname_(std::move(dbname)),
         sidecar_first_(sidecar_first && !dbname_.empty()) {}
 
   /// What to do when a stitch is not possible (segment-density blow-up
-  /// past the configured ratio, or a file whose in-memory index cannot
+  /// past kStitchBlowup, or a file whose in-memory index cannot
   /// export segments).
   enum class StitchFallback {
     /// Retrain from a full level scan right here — for quiescent callers
@@ -207,7 +207,6 @@ class ModelCatalog {
 
   Env* const env_;
   Stats* const stats_;
-  const double stitch_blowup_;
   const std::string dbname_;
   const bool sidecar_first_;
   mutable Mutex cache_mu_;

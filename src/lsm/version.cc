@@ -408,7 +408,6 @@ void VersionSet::Apply(const VersionEdit& edit, const ModelDelta* models) {
                                      : current_->models_->Get(level));
     }
   }
-  v->stamp_ = stamp_.fetch_add(1, std::memory_order_relaxed) + 1;
 
   v->Ref();
   {

@@ -122,15 +122,11 @@ class Version {
   /// (governs tombstone dropping during compaction).
   bool KeyMayExistBelow(int level, Key key) const;
 
-  /// The VersionSet stamp at which this version was installed (0 for
-  /// standalone versions).
-  uint64_t stamp() const { return stamp_; }
-
   /// This version's level-model slots (never null). A model published for
   /// a version always matches its file lists — filled either by the write
   /// path at install time (LevelModelPolicy::kCompactionMaintained) or on
   /// demand by readers (kLazyRebuild), so a reader pinned to a version
-  /// has a consistent model with no stamp checks or fallback dance.
+  /// has a consistent model with no staleness checks or fallback dance.
   VersionModels* models() const { return models_.get(); }
 
   /// Thread-safe reference counting for set-managed versions. The last
@@ -145,7 +141,6 @@ class Version {
   friend class VersionSet;
 
   VersionSet* vset_ = nullptr;  // owning set; null for standalone versions
-  uint64_t stamp_ = 0;
   std::shared_ptr<VersionModels> models_;
   mutable std::atomic<int32_t> refs_{0};
 };
@@ -204,10 +199,6 @@ class VersionSet {
   uint64_t log_number() const { return log_number_; }
   uint64_t manifest_number() const { return manifest_number_; }
 
-  /// Monotone stamp bumped by every LogAndApply; consumers (level models)
-  /// use it to detect stale caches. Matches current().stamp().
-  uint64_t stamp() const { return stamp_.load(std::memory_order_relaxed); }
-
   struct CompactionPick {
     int level = -1;
     std::vector<FileMeta> inputs;       // from `level`
@@ -261,7 +252,6 @@ class VersionSet {
   std::atomic<uint64_t> next_file_number_{2};
   SequenceNumber last_sequence_ = 0;
   uint64_t log_number_ = 0;
-  std::atomic<uint64_t> stamp_{0};
   Key compact_pointer_[kNumLevels] = {};
   bool has_compact_pointer_[kNumLevels] = {};
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <map>
 
 #include "table/segment_sidecar.h"
 
@@ -269,9 +268,7 @@ Status TableReader::Open(const TableOptions& options,
   return Status::OK();
 }
 
-bool TableReader::ProbeCachedSpan(uint64_t byte_lo, uint64_t byte_hi,
-                                  char* dst, std::vector<bool>* block_hit,
-                                  OpStats stats) {
+bool TableReader::ProbeCachedSpan(Span* span, OpStats stats) {
   BlockCache* cache = options_.block_cache.get();
   const uint64_t block = options_.io_block_size;
   // Blocks are cached at their canonical length min(block, data_size_ -
@@ -279,15 +276,15 @@ bool TableReader::ProbeCachedSpan(uint64_t byte_lo, uint64_t byte_hi,
   // span fetching a block covers all of it and entries never straddle a
   // cache boundary.
   const size_t num_blocks =
-      static_cast<size_t>((byte_hi - byte_lo + block - 1) / block);
-  block_hit->assign(num_blocks, false);
+      static_cast<size_t>((span->byte_hi - span->byte_lo + block - 1) / block);
+  span->block_hit.assign(num_blocks, false);
   size_t hit_count = 0;
   for (size_t b = 0; b < num_blocks; b++) {
     BlockCache::BlockRef ref =
-        cache->Lookup(options_.cache_file_number, byte_lo + b * block);
+        cache->Lookup(options_.cache_file_number, span->byte_lo + b * block);
     if (ref == nullptr) continue;
-    std::memcpy(dst + b * block, ref->data(), ref->size());
-    (*block_hit)[b] = true;
+    std::memcpy(span->buffer.data() + b * block, ref->data(), ref->size());
+    span->block_hit[b] = true;
     hit_count++;
   }
   stats.Add(hit_count == num_blocks ? Counter::kBlockCacheHits
@@ -296,20 +293,17 @@ bool TableReader::ProbeCachedSpan(uint64_t byte_lo, uint64_t byte_hi,
   return hit_count == num_blocks;
 }
 
-void TableReader::CacheColdBlocks(uint64_t byte_lo, uint64_t byte_hi,
-                                  const char* src,
-                                  const std::vector<bool>& block_hit,
-                                  OpStats stats) {
+void TableReader::CacheColdBlocks(const Span& span, OpStats stats) {
   BlockCache* cache = options_.block_cache.get();
   const uint64_t block = options_.io_block_size;
   uint64_t evicted = 0;
-  for (size_t b = 0; b < block_hit.size(); b++) {
-    if (block_hit[b]) continue;
-    const uint64_t offset = byte_lo + b * block;
+  for (size_t b = 0; b < span.block_hit.size(); b++) {
+    if (span.block_hit[b]) continue;
+    const uint64_t offset = span.byte_lo + b * block;
     const size_t block_len =
-        static_cast<size_t>(std::min<uint64_t>(block, byte_hi - offset));
+        static_cast<size_t>(std::min<uint64_t>(block, span.byte_hi - offset));
     evicted += cache->Insert(options_.cache_file_number, offset,
-                             src + b * block, block_len);
+                             span.buffer.data() + b * block, block_len);
   }
   if (evicted > 0) stats.Add(Counter::kBlockCacheEvictions, evicted);
 }
@@ -326,56 +320,43 @@ TableReader::AlignedSpan TableReader::Align(size_t lo, size_t hi) const {
   return span;
 }
 
-Status TableReader::FetchAlignedCached(uint64_t byte_lo, uint64_t byte_hi,
-                                       char* dst, OpStats stats,
-                                       bool fill_cache) {
-  const bool cached = options_.block_cache != nullptr;
-  // thread_local to amortize the allocation across fetches.
-  thread_local std::vector<bool> block_hit;
-  if (cached && ProbeCachedSpan(byte_lo, byte_hi, dst, &block_hit, stats)) {
-    return Status::OK();
+void TableReader::IssueSpan(Span* span, ReadBatch* batch, OpStats stats) {
+  const size_t len = static_cast<size_t>(span->byte_hi - span->byte_lo);
+  if (span->buffer.size() < len) span->buffer.resize(len);
+  span->read_pending = options_.block_cache == nullptr ||
+                     !ProbeCachedSpan(span, stats);
+  if (!span->read_pending) return;  // fully warm: no Env read
+  // result and status are left stale: every read assigns both.
+  span->req.file = file_.get();
+  span->req.offset = span->byte_lo;
+  span->req.n = len;
+  span->req.scratch = span->buffer.data();
+  if (batch != nullptr) {
+    batch->Add(&span->req);
+    stats.Add(Counter::kAsyncReads);
+    return;
   }
-
-  // Uncached, or at least one block is cold: fetch the whole span with one
-  // aligned pread, then cache the cold blocks. The disk-read timer wraps
-  // only this pread — a span served from memory must not masquerade as
-  // device I/O in the stage breakdown.
-  const size_t len = static_cast<size_t>(byte_hi - byte_lo);
-  Slice contents;
-  Status s;
-  {
-    ScopedTimer timer(stats, Timer::kDiskRead, options_.env);
-    s = file_->Read(byte_lo, len, &contents, dst);
-  }
-  if (!s.ok()) return s;
-  if (contents.size() < len) {
-    return Status::Corruption("segmented table: short data read");
-  }
-  if (contents.data() != dst) std::memmove(dst, contents.data(), len);
-  if (cached && fill_cache) {
-    CacheColdBlocks(byte_lo, byte_hi, dst, block_hit, stats);
-  }
-  return Status::OK();
+  // The disk-read timer wraps only this pread — a span served from memory
+  // must not masquerade as device I/O in the stage breakdown.
+  ScopedTimer timer(stats, Timer::kDiskRead, options_.env);
+  span->req.status =
+      file_->Read(span->byte_lo, len, &span->req.result, span->req.scratch);
 }
 
-Status TableReader::ReadEntryRange(size_t lo, size_t hi, std::string* scratch,
-                                   const char** base, size_t* first,
-                                   size_t* last, bool fill_cache) {
-  assert(lo <= hi && hi < count_);
-  const AlignedSpan span = Align(lo, hi);
-  const size_t len = static_cast<size_t>(span.byte_hi - span.byte_lo);
-  if (scratch->size() < len) scratch->resize(len);
-  // Iterator reads (scans, compaction inputs) count their block-cache
-  // probes on the table's sink, but an uncached table's preads stay out
-  // of its kDiskRead timer, which belongs to point lookups.
-  Status s = FetchAlignedCached(
-      span.byte_lo, span.byte_hi, scratch->data(),
-      options_.block_cache != nullptr ? options_.stats : OpStats(),
-      fill_cache);
-  if (!s.ok()) return s;
-  *base = scratch->data() + EntryOffset(span.byte_lo, span.first);
-  *first = span.first;
-  *last = span.last;
+Status TableReader::CompleteSpan(Span* span, bool fill_cache, OpStats stats) {
+  if (!span->read_pending) return Status::OK();
+  span->read_pending = false;
+  if (!span->req.status.ok()) return span->req.status;
+  const size_t len = static_cast<size_t>(span->byte_hi - span->byte_lo);
+  if (span->req.result.size() < len) {
+    return Status::Corruption("segmented table: short data read");
+  }
+  if (span->req.result.data() != span->buffer.data()) {
+    std::memmove(span->buffer.data(), span->req.result.data(), len);
+  }
+  if (options_.block_cache != nullptr && fill_cache) {
+    CacheColdBlocks(*span, stats);
+  }
   return Status::OK();
 }
 
@@ -457,15 +438,12 @@ bool TableReader::SearchBuffer(const char* base, size_t first, size_t lo,
   return true;
 }
 
-PendingMultiGet::Span& PendingMultiGet::NewSpan(uint64_t byte_lo,
-                                                uint64_t byte_hi,
-                                                size_t first) {
+PendingMultiGet::Span& PendingMultiGet::NewSpan(
+    const TableReader::AlignedSpan& window) {
   if (num_spans_ == spans_.size()) spans_.emplace_back();
   Span& span = spans_[num_spans_++];
-  span.byte_lo = byte_lo;
-  span.byte_hi = byte_hi;
-  span.first = first;
-  span.needs_read = false;
+  static_cast<TableReader::AlignedSpan&>(span) = window;
+  span.read_pending = false;
   return span;
 }
 
@@ -480,8 +458,7 @@ Status TableReader::PrepareMultiGet(std::span<const Key> keys,
   p.plans_.assign(keys.size(), PendingMultiGet::KeyPlan());
   p.num_spans_ = 0;
   p.fill_cache_ = fill_cache;
-  // Inline only: the last fetched span's entries and their key range.
-  AlignedSpan span_entries;
+  // Inline only: the key range of the last fetched span.
   Key span_first_key = 0, span_last_key = 0;
 
   // Screen and bound every key, turning each window into an aligned byte
@@ -497,9 +474,10 @@ Status TableReader::PrepareMultiGet(std::span<const Key> keys,
     // last key, so absence there is absence from the table.
     if (batch == nullptr && p.num_spans_ > 0 && key >= span_first_key &&
         key <= span_last_key) {
+      const Span& span = p.spans_[p.num_spans_ - 1];
       plan.span = static_cast<int>(p.num_spans_ - 1);
-      plan.lo = span_entries.first;
-      plan.hi = span_entries.last;
+      plan.lo = span.first;
+      plan.hi = span.last;
       continue;
     }
 
@@ -511,49 +489,32 @@ Status TableReader::PrepareMultiGet(std::span<const Key> keys,
         window.byte_lo <= p.spans_[p.num_spans_ - 1].byte_hi &&
         window.byte_lo >= p.spans_[p.num_spans_ - 1].byte_lo) {
       // Overlaps or abuts the previous span: extend it forward.
-      PendingMultiGet::Span& prev = p.spans_[p.num_spans_ - 1];
-      if (window.byte_hi > prev.byte_hi) prev.byte_hi = window.byte_hi;
+      Span& prev = p.spans_[p.num_spans_ - 1];
+      if (window.byte_hi > prev.byte_hi) {
+        prev.byte_hi = window.byte_hi;
+        prev.last = window.last;
+      }
       plan.span = static_cast<int>(p.num_spans_ - 1);
       continue;
     }
-    PendingMultiGet::Span& span =
-        p.NewSpan(window.byte_lo, window.byte_hi, window.first);
+    Span& span = p.NewSpan(window);
     plan.span = static_cast<int>(p.num_spans_ - 1);
     if (batch != nullptr) continue;
 
-    const size_t len = static_cast<size_t>(window.byte_hi - window.byte_lo);
-    if (span.buffer.size() < len) span.buffer.resize(len);
-    Status s = FetchAlignedCached(window.byte_lo, window.byte_hi,
-                                  span.buffer.data(), stats, fill_cache);
+    IssueSpan(&span, nullptr, stats);
+    Status s = CompleteSpan(&span, fill_cache, stats);
     if (!s.ok()) return s;
-    const char* base =
-        span.buffer.data() + EntryOffset(window.byte_lo, window.first);
-    span_entries = window;
-    span_first_key = EntryKeyInBuffer(base, window.first, window.first);
-    span_last_key = EntryKeyInBuffer(base, window.first, window.last);
+    const char* base = SpanEntries(span);
+    span_first_key = EntryKeyInBuffer(base, span.first, span.first);
+    span_last_key = EntryKeyInBuffer(base, span.first, span.last);
   }
-  if (batch == nullptr) return Status::OK();
 
-  // Batched: for each span, serve what the block cache holds; anything
-  // colder becomes one ReadRequest on the caller's batch. The span list
-  // is final here, so the registered request pointers stay stable.
-  for (size_t k = 0; k < p.num_spans_; k++) {
-    PendingMultiGet::Span& span = p.spans_[k];
-    const size_t len = static_cast<size_t>(span.byte_hi - span.byte_lo);
-    if (span.buffer.size() < len) span.buffer.resize(len);
-    if (options_.block_cache != nullptr &&
-        ProbeCachedSpan(span.byte_lo, span.byte_hi, span.buffer.data(),
-                        &span.block_hit, stats)) {
-      continue;  // fully warm: this span never touches the Env
+  // Batched: issue every span on the caller's batch. The span list is
+  // final here, so the registered request pointers stay stable.
+  if (batch != nullptr) {
+    for (size_t k = 0; k < p.num_spans_; k++) {
+      IssueSpan(&p.spans_[k], batch, stats);
     }
-    span.needs_read = true;
-    span.req = ReadRequest();
-    span.req.file = file_.get();
-    span.req.offset = span.byte_lo;
-    span.req.n = len;
-    span.req.scratch = span.buffer.data();
-    batch->Add(&span.req);
-    stats.Add(Counter::kAsyncReads);
   }
   return Status::OK();
 }
@@ -564,37 +525,25 @@ Status TableReader::FinishMultiGet(PendingMultiGet* pending,
   if (!stats) stats = options_.stats;
   Env* env = options_.env;
 
-  // Check the reaped reads and insert the cold blocks under the Prepare
-  // call's fill_cache, as an inline fetch does.
+  // Complete the batch's reads under the Prepare call's fill_cache (an
+  // inline plan's spans are complete already).
   for (size_t k = 0; k < pending->num_spans_; k++) {
-    PendingMultiGet::Span& span = pending->spans_[k];
     stats.Add(Counter::kSegmentsFetched);
-    if (!span.needs_read) continue;
-    if (!span.req.status.ok()) return span.req.status;
-    const size_t len = static_cast<size_t>(span.byte_hi - span.byte_lo);
-    if (span.req.result.size() < len) {
-      return Status::Corruption("segmented table: short data read");
-    }
-    if (span.req.result.data() != span.buffer.data()) {
-      std::memmove(span.buffer.data(), span.req.result.data(), len);
-    }
-    if (options_.block_cache != nullptr && pending->fill_cache_) {
-      CacheColdBlocks(span.byte_lo, span.byte_hi, span.buffer.data(),
-                      span.block_hit, stats);
-    }
+    Status s =
+        CompleteSpan(&pending->spans_[k], pending->fill_cache_, stats);
+    if (!s.ok()) return s;
   }
 
   for (size_t i = 0; i < pending->keys_.size(); i++) {
     founds[i] = false;
     const PendingMultiGet::KeyPlan& plan = pending->plans_[i];
     if (plan.span < 0) continue;
-    const PendingMultiGet::Span& span = pending->spans_[plan.span];
-    const char* base =
-        span.buffer.data() + EntryOffset(span.byte_lo, span.first);
+    const Span& span = pending->spans_[plan.span];
     {
       ScopedTimer timer(stats, Timer::kBinarySearch, env);
-      founds[i] = SearchBuffer(base, span.first, plan.lo, plan.hi,
-                               pending->keys_[i], &values[i], &tags[i]);
+      founds[i] = SearchBuffer(SpanEntries(span), span.first, plan.lo,
+                               plan.hi, pending->keys_[i], &values[i],
+                               &tags[i]);
     }
     if (plan.probed) {
       stats.Add(founds[i] ? Counter::kBloomTruePositive
@@ -655,39 +604,27 @@ Status TableReader::ReadAllKeys(std::vector<Key>* keys) {
 // ---------------------------------------------------------------------------
 
 /// Streams entries block by block: Seek uses the learned index like a point
-/// lookup, then Next() advances inside the fetched block and fetches the
+/// lookup, then Next() advances inside the fetched window and reads the
 /// following I/O block when exhausted (the paper's range-lookup phase 2).
-/// With readahead_blocks > 0, every window load also submits the next K io
-/// blocks past the cursor through Env::NewReadBatch; subsequent windows
-/// assemble from those completed prefetches instead of blocking reads.
+/// With readahead_blocks > 0 the iterator also keeps one readahead span:
+/// readahead_blocks io blocks from the block holding the entry after its
+/// window, issued through its own ReadBatch. When the cursor reaches it,
+/// the iterator waits, completes it, swaps it in as the window and issues
+/// the next one.
 class TableReader::Iterator final : public TableIterator {
  public:
   Iterator(TableReader* reader, bool fill_cache, size_t readahead_blocks)
       : reader_(reader),
         fill_cache_(fill_cache),
         readahead_blocks_(readahead_blocks) {
+    window_.first = 1;  // holds no entry until the first read
     if (readahead_blocks_ > 0) {
-      batch_ = reader_->options_.env->NewReadBatch(
-          static_cast<int>(readahead_blocks_));
+      batch_ = reader_->options_.env->NewReadBatch(1);
     }
   }
 
-  ~Iterator() override {
-    // Outstanding requests reference the inflight buffers: reap before
-    // dropping them. Anything fetched but never served was wasted
-    // readahead.
-    if (batch_ != nullptr && !inflight_.empty()) {
-      batch_->Wait();
-    }
-    uint64_t wasted = inflight_.size();
-    for (const auto& [offset, rb] : ready_) {
-      if (!rb.used) wasted++;
-    }
-    Stats* stats = reader_->options_.stats;
-    if (stats != nullptr && wasted > 0) {
-      stats->Add(Counter::kReadaheadWasted, wasted);
-    }
-  }
+  // The pending request references the readahead buffer: reap it first.
+  ~Iterator() override { ReapAhead(false); }
 
   bool Valid() const override {
     return status_.ok() && pos_ < reader_->count_;
@@ -715,46 +652,33 @@ class TableReader::Iterator final : public TableIterator {
     size_t win_lo = 0, win_hi = 0;  // clamped: indexes the fetched buffer
     reader_->EntryWindow(target, nullptr, nullptr, 0, reader_->options_.stats,
                          &win_lo, &win_hi);
-    const char* base = nullptr;
-    size_t first = 0, last = 0;
-    status_ = reader_->ReadEntryRange(win_lo, win_hi, &buffer_, &base, &first,
-                                      &last, fill_cache_);
-    if (!status_.ok()) return;
-    buf_base_offset_ = static_cast<size_t>(base - buffer_.data());
-    buf_first_ = first;
-    buf_last_ = last;
-
-    const Key range_first = reader_->EntryKeyInBuffer(base, first, win_lo);
-    const Key range_last = reader_->EntryKeyInBuffer(base, first, win_hi);
+    if (!ReadWindow(win_lo, win_hi)) return;
+    const size_t first = window_.first;
+    const Key range_first = reader_->EntryKeyInBuffer(base_, first, win_lo);
+    const Key range_last = reader_->EntryKeyInBuffer(base_, first, win_hi);
     if ((target < range_first && win_lo != 0) ||
         (target > range_last && win_hi != reader_->count_ - 1)) {
       // The model window does not bracket this (absent) target; fall back
       // to an exact binary search over the file.
-      size_t pos = 0;
-      status_ = reader_->FindLowerBound(target, &pos);
+      status_ = reader_->FindLowerBound(target, &pos_);
       if (!status_.ok()) return;
-      pos_ = pos;
-      EnsureBuffered();
-      return;
-    }
-
-    // Lower bound within [lo, hi].
-    size_t lo = win_lo, hi = win_hi + 1;
-    if (target > range_last) {
-      lo = hi;  // insertion point just past the window (hi == count_ - 1)
+    } else if (target > range_last) {
+      pos_ = win_hi + 1;  // just past the window (win_hi == count_ - 1)
     } else {
+      // Lower bound within [win_lo, win_hi].
+      size_t lo = win_lo, hi = win_hi + 1;
       while (lo < hi) {
         const size_t mid = lo + (hi - lo) / 2;
-        if (reader_->EntryKeyInBuffer(base, first, mid) < target) {
+        if (reader_->EntryKeyInBuffer(base_, first, mid) < target) {
           lo = mid + 1;
         } else {
           hi = mid;
         }
       }
+      pos_ = lo;
     }
-    pos_ = lo;
     EnsureBuffered();
-    MaybeIssueReadahead();
+    IssueAhead();
   }
 
   void Next() override {
@@ -782,180 +706,102 @@ class TableReader::Iterator final : public TableIterator {
 
  private:
   const char* EntryPtr() const {
-    return buffer_.data() + buf_base_offset_ +
-           (pos_ - buf_first_) * reader_->entry_size_;
+    return base_ + (pos_ - window_.first) * reader_->entry_size_;
   }
 
-  /// Fetches the I/O block containing pos_ if it is not already buffered:
-  /// from completed prefetches when the whole window is ready, else with
-  /// the usual synchronous ReadEntryRange. Either way the next readahead
-  /// round is submitted afterwards.
+  bool Holds(const Span& span) const {
+    return pos_ >= span.first && pos_ <= span.last;
+  }
+
+  /// Reads entries [lo, hi] (lo <= hi < count) into the window with one
+  /// inline span read. Its cache probes count on the table's stats sink,
+  /// but an uncached table's preads stay out of its kDiskRead timer, which
+  /// belongs to point lookups.
+  bool ReadWindow(size_t lo, size_t hi) {
+    assert(lo <= hi && hi < reader_->count_);
+    static_cast<AlignedSpan&>(window_) = reader_->Align(lo, hi);
+    const OpStats stats = reader_->options_.block_cache != nullptr
+                              ? reader_->options_.stats
+                              : OpStats();
+    reader_->IssueSpan(&window_, nullptr, stats);
+    status_ = reader_->CompleteSpan(&window_, fill_cache_, stats);
+    base_ = reader_->SpanEntries(window_);
+    return status_.ok();
+  }
+
+  /// Makes the window hold pos_: the readahead span when it does and its
+  /// read succeeded, else a synchronous read of the block holding pos_,
+  /// which reports any real error. A new window issues the next
+  /// readahead span.
   void EnsureBuffered() {
-    if (!status_.ok() || pos_ >= reader_->count_) return;
-    if (buf_last_ >= buf_first_ && pos_ >= buf_first_ && pos_ <= buf_last_ &&
-        buf_last_ != kInvalid) {
+    if (!status_.ok() || pos_ >= reader_->count_ || Holds(window_)) return;
+    if (Holds(ahead_) && ReapAhead(true)) {
+      std::swap(window_, ahead_);
+      base_ = reader_->SpanEntries(window_);
+    } else if (!ReadWindow(pos_, pos_)) {
       return;
     }
-    if (readahead_blocks_ > 0) {
-      Reap();
-      if (ServeFromPrefetch()) {
-        MaybeIssueReadahead();
-        return;
-      }
-    }
-    const char* base = nullptr;
-    size_t first = 0, last = 0;
-    status_ = reader_->ReadEntryRange(pos_, pos_, &buffer_, &base, &first,
-                                      &last, fill_cache_);
-    if (!status_.ok()) return;
-    buf_base_offset_ = static_cast<size_t>(base - buffer_.data());
-    buf_first_ = first;
-    buf_last_ = last;
-    MaybeIssueReadahead();
+    IssueAhead();
   }
 
-  /// Blocks on the outstanding prefetch batch and moves completed blocks
-  /// into the ready map (and the block cache, under fill_cache). Failed
-  /// prefetches are dropped: readahead is advisory, the demand read will
-  /// retry synchronously and surface the error.
-  void Reap() {
-    if (inflight_.empty()) return;
+  /// Issues readahead_blocks_ io blocks from the block holding the entry
+  /// after the window — on a straddling entry, the window's tail block —
+  /// widened to hold that entry whole, unless that span is already
+  /// pending. Any other pending span is dropped first.
+  void IssueAhead() {
+    if (readahead_blocks_ == 0 || !status_.ok() ||
+        window_.last + 1 >= reader_->count_) {
+      return;
+    }
+    AlignedSpan next = reader_->Align(window_.last + 1, window_.last + 1);
+    if (ahead_issued_ && ahead_.byte_lo == next.byte_lo) return;
+    ReapAhead(false);
+    const uint64_t byte_hi = std::min(
+        reader_->data_size_,
+        next.byte_lo + readahead_blocks_ * reader_->options_.io_block_size);
+    if (byte_hi > next.byte_hi) {
+      next.byte_hi = byte_hi;
+      next.last = static_cast<size_t>(byte_hi / reader_->entry_size_) - 1;
+    }
+    static_cast<AlignedSpan&>(ahead_) = next;
+    reader_->IssueSpan(&ahead_, batch_.get(), reader_->options_.stats);
+    ahead_issued_ = true;
+  }
+
+  /// Waits for the readahead span's read, if any. With `use` it completes
+  /// the span and returns whether its bytes are good, counting its blocks
+  /// as kReadaheadHits; otherwise, or when the read failed, they count as
+  /// kReadaheadWasted — readahead is advisory.
+  bool ReapAhead(bool use) {
+    if (!ahead_issued_) return false;
+    ahead_issued_ = false;
     Stats* stats = reader_->options_.stats;
-    {
-      ScopedTimer timer(stats, Timer::kAsyncReap, reader_->options_.env);
-      batch_->Wait();
-    }
-    if (stats != nullptr) stats->Add(Counter::kAsyncBatches);
-    BlockCache* cache = reader_->options_.block_cache.get();
-    uint64_t evicted = 0;
-    for (std::unique_ptr<PrefetchBlock>& pb : inflight_) {
-      if (!pb->req.status.ok() || pb->req.result.size() < pb->buf.size()) {
-        continue;
+    if (ahead_.read_pending) {
+      {
+        ScopedTimer timer(stats, Timer::kAsyncReap, reader_->options_.env);
+        batch_->Wait();
       }
-      if (pb->req.result.data() != pb->buf.data()) {
-        std::memmove(pb->buf.data(), pb->req.result.data(), pb->buf.size());
-      }
-      if (cache != nullptr && fill_cache_) {
-        evicted += cache->Insert(reader_->options_.cache_file_number,
-                                 pb->offset, pb->buf);
-      }
-      ready_[pb->offset] = ReadyBlock{std::move(pb->buf), false};
+      if (stats != nullptr) stats->Add(Counter::kAsyncBatches);
     }
-    if (stats != nullptr && evicted > 0) {
-      stats->Add(Counter::kBlockCacheEvictions, evicted);
+    const bool ok =
+        use && reader_->CompleteSpan(&ahead_, fill_cache_, stats).ok();
+    if (stats != nullptr) {
+      const uint64_t block = reader_->options_.io_block_size;
+      stats->Add(ok ? Counter::kReadaheadHits : Counter::kReadaheadWasted,
+                 (ahead_.byte_hi - ahead_.byte_lo + block - 1) / block);
     }
-    inflight_.clear();
+    return ok;
   }
-
-  /// Assembles the window covering pos_ from ready prefetched blocks.
-  /// False when any constituent block is missing (the caller falls back
-  /// to a synchronous read). Blocks fully behind the new window are
-  /// pruned, counting never-served ones as wasted readahead.
-  bool ServeFromPrefetch() {
-    const uint64_t block = reader_->options_.io_block_size;
-    const AlignedSpan span = reader_->Align(pos_, pos_);
-    const uint64_t byte_lo = span.byte_lo;
-    const size_t num_blocks =
-        static_cast<size_t>((span.byte_hi - byte_lo + block - 1) / block);
-    for (size_t b = 0; b < num_blocks; b++) {
-      if (ready_.find(byte_lo + b * block) == ready_.end()) return false;
-    }
-    const size_t len = static_cast<size_t>(span.byte_hi - byte_lo);
-    if (buffer_.size() < len) buffer_.resize(len);
-    Stats* stats = reader_->options_.stats;
-    uint64_t hits = 0;
-    for (size_t b = 0; b < num_blocks; b++) {
-      ReadyBlock& rb = ready_[byte_lo + b * block];
-      std::memcpy(buffer_.data() + b * block, rb.buf.data(), rb.buf.size());
-      if (!rb.used) {
-        rb.used = true;
-        hits++;
-      }
-    }
-    if (stats != nullptr && hits > 0) {
-      stats->Add(Counter::kReadaheadHits, hits);
-    }
-    buf_base_offset_ = reader_->EntryOffset(byte_lo, span.first);
-    buf_first_ = span.first;
-    buf_last_ = span.last;
-    // Prune blocks the forward scan can no longer use.
-    uint64_t wasted = 0;
-    for (auto it = ready_.begin(); it != ready_.end();) {
-      if (it->first + block <= byte_lo) {
-        if (!it->second.used) wasted++;
-        it = ready_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (stats != nullptr && wasted > 0) {
-      stats->Add(Counter::kReadaheadWasted, wasted);
-    }
-    return true;
-  }
-
-  /// Submits up to readahead_blocks_ io blocks past the buffered window.
-  /// The first candidate is the block holding entry buf_last_+1 — on a
-  /// straddling entry that is the tail block of the current window, which
-  /// the next window needs again.
-  void MaybeIssueReadahead() {
-    if (readahead_blocks_ == 0 || !status_.ok()) return;
-    if (buf_last_ == kInvalid || buf_last_ + 1 >= reader_->count_) return;
-    const uint64_t block = reader_->options_.io_block_size;
-    uint64_t next = reader_->Align(buf_last_ + 1, buf_last_ + 1).byte_lo;
-    Stats* stats = reader_->options_.stats;
-    uint64_t submitted = 0;
-    for (size_t k = 0; k < readahead_blocks_ && next < reader_->data_size_;
-         k++, next += block) {
-      if (ready_.find(next) != ready_.end()) continue;
-      bool in_flight = false;
-      for (const std::unique_ptr<PrefetchBlock>& pb : inflight_) {
-        if (pb->offset == next) {
-          in_flight = true;
-          break;
-        }
-      }
-      if (in_flight) continue;
-      auto pb = std::make_unique<PrefetchBlock>();
-      pb->offset = next;
-      pb->buf.resize(static_cast<size_t>(
-          std::min<uint64_t>(block, reader_->data_size_ - next)));
-      pb->req.file = reader_->file_.get();
-      pb->req.offset = next;
-      pb->req.n = pb->buf.size();
-      pb->req.scratch = pb->buf.data();
-      batch_->Add(&pb->req);
-      inflight_.push_back(std::move(pb));
-      submitted++;
-    }
-    if (stats != nullptr && submitted > 0) {
-      stats->Add(Counter::kAsyncReads, submitted);
-    }
-  }
-
-  static constexpr size_t kInvalid = static_cast<size_t>(-1);
-
-  struct PrefetchBlock {
-    uint64_t offset = 0;
-    std::string buf;
-    ReadRequest req;
-  };
-  struct ReadyBlock {
-    std::string buf;
-    bool used = false;  // served into at least one window
-  };
 
   TableReader* const reader_;
   const bool fill_cache_;
   const size_t readahead_blocks_;
   std::unique_ptr<ReadBatch> batch_;
-  std::vector<std::unique_ptr<PrefetchBlock>> inflight_;
-  std::map<uint64_t, ReadyBlock> ready_;
   Status status_;
-  std::string buffer_;
-  size_t buf_base_offset_ = 0;
-  size_t buf_first_ = 1;
-  size_t buf_last_ = kInvalid;  // kInvalid => nothing buffered
+  Span window_;                 // the buffered entries
+  const char* base_ = nullptr;  // window_'s entry window_.first
+  Span ahead_;                  // the readahead span, when ahead_issued_
+  bool ahead_issued_ = false;
   size_t pos_ = 0;
 };
 

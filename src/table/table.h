@@ -123,42 +123,7 @@ class TableBuilder {
   bool finished_ = false;
 };
 
-/// One run's lookup plan, carried from PrepareMultiGet to FinishMultiGet:
-/// the keys that survived range/bloom screening, their search bounds, and
-/// the aligned byte spans backing them. The caller owns it and may reuse
-/// it across calls; its spans keep their buffers, so a warm reused plan
-/// allocates nothing. It holds no reference to the reader.
-/// Destroying or reusing a pending object whose batch has not been waited
-/// is illegal (requests reference its buffers).
-class PendingMultiGet {
- private:
-  friend class TableReader;
-
-  struct Span {
-    uint64_t byte_lo = 0;
-    uint64_t byte_hi = 0;
-    size_t first = 0;              // first entry held whole by the span
-    std::string buffer;            // >= byte_hi - byte_lo bytes
-    bool needs_read = false;       // a ReadRequest was registered
-    std::vector<bool> block_hit;   // cache probe result per io block
-    ReadRequest req;
-  };
-  struct KeyPlan {
-    int span = -1;  // -1: resolved at Prepare (out of range / bloom miss)
-    bool probed = false;  // passed a bloom probe (counts TP/FP at Finish)
-    size_t lo = 0;
-    size_t hi = 0;  // inclusive entry bounds for the buffer search
-  };
-
-  /// Opens span number num_spans_, reusing an earlier plan's buffer.
-  Span& NewSpan(uint64_t byte_lo, uint64_t byte_hi, size_t first);
-
-  std::span<const Key> keys_;  // the caller's, alive until Finish
-  std::vector<KeyPlan> plans_;
-  std::vector<Span> spans_;    // the first num_spans_ are this plan's
-  size_t num_spans_ = 0;
-  bool fill_cache_ = true;
-};
+class PendingMultiGet;
 
 class TableReader {
  public:
@@ -206,9 +171,10 @@ class TableReader {
   /// `fill_cache` = false keeps the iterator's block fetches from
   /// populating the block cache (scans and compaction inputs must not
   /// evict the point-lookup hot set); cache hits are still served.
-  /// `readahead_blocks` > 0 makes the iterator prefetch that many io
-  /// blocks past its cursor through Env::NewReadBatch, so sequential
-  /// scans overlap their device reads (0 = today's synchronous behavior).
+  /// `readahead_blocks` > 0 makes the iterator keep one readahead span of
+  /// that many io blocks past its window, probed in the block cache and
+  /// read through Env::NewReadBatch, so a sequential scan reads ahead in
+  /// larger spans (0 = one synchronous block read at a time).
   std::unique_ptr<TableIterator> NewIterator(bool fill_cache = true,
                                              size_t readahead_blocks = 0);
 
@@ -244,6 +210,7 @@ class TableReader {
 
  private:
   class Iterator;
+  friend class PendingMultiGet;
 
   explicit TableReader(const TableOptions& options) : options_(options) {}
 
@@ -261,21 +228,33 @@ class TableReader {
   /// the trailing bloom/index/meta bytes as entries (nor, were the data
   /// region the whole file, run past end-of-file).
   AlignedSpan Align(size_t lo, size_t hi) const;
-  /// Entries of the aligned span starting at `byte_lo`, whose first whole
-  /// entry is `first`, start at this offset of the span's bytes.
-  size_t EntryOffset(uint64_t byte_lo, size_t first) const {
-    return static_cast<size_t>(uint64_t{first} * entry_size_ - byte_lo);
-  }
 
-  /// Reads the entry range [lo, hi] (inclusive, lo <= hi < count) with
-  /// one aligned fetch (FetchAlignedCached) into `scratch` — the
-  /// iterators' read. Cache probes count on the table's stats sink; the
-  /// pread is timed as kDiskRead only when the table has a block cache.
-  /// On success *base points at entry `*first` inside `scratch`, and
-  /// [*first, *last] are the entries it holds.
-  Status ReadEntryRange(size_t lo, size_t hi, std::string* scratch,
-                        const char** base, size_t* first, size_t* last,
-                        bool fill_cache);
+  /// An aligned span and its one read — the unit every table read goes
+  /// through: the batched plan's spans, the iterator's window and its
+  /// readahead span. IssueSpan starts the read and CompleteSpan finishes
+  /// it; a span's buffer is kept across reuses.
+  struct Span : AlignedSpan {
+    std::string buffer;           // >= byte_hi - byte_lo bytes
+    std::vector<bool> block_hit;  // cache probe result per io block
+    bool read_pending = false;    // issued, awaiting CompleteSpan
+    ReadRequest req;
+  };
+  /// Issue half: sizes the buffer and probes the block cache; a span
+  /// whose every block hits is done with zero Env reads. Otherwise the
+  /// span's one ReadRequest is added to `batch` (kAsyncReads) or, with no
+  /// batch, read at once (timed as kDiskRead).
+  void IssueSpan(Span* span, ReadBatch* batch, OpStats stats);
+  /// Complete half, after the batch's Wait: returns a failed read's
+  /// status, turns a short read into Corruption, moves the bytes into the
+  /// buffer and, with `fill_cache`, inserts the blocks the probe missed.
+  /// A span with no read pending (cache-served, or completed) is a no-op.
+  Status CompleteSpan(Span* span, bool fill_cache, OpStats stats);
+  /// The span's entry `first`, in its buffer.
+  const char* SpanEntries(const Span& span) const {
+    return span.buffer.data() +
+           static_cast<size_t>(uint64_t{span.first} * entry_size_ -
+                               span.byte_lo);
+  }
 
   /// Entry-index lower bound via O(log n) single-entry probes; correctness
   /// fallback for Seek() when the model range does not bracket an absent
@@ -290,25 +269,16 @@ class TableReader {
   /// Bloom probe; false means the key is definitely absent. `stats` (may
   /// be null) overrides options_.stats for this call.
   bool MayContain(Key key, OpStats stats);
-  /// Serves the aligned byte range [byte_lo, byte_hi) into `dst`: with a
-  /// block cache, all-hit spans copy out of it with zero Env reads;
-  /// otherwise one pread (timed as kDiskRead) fetches the whole span and,
-  /// with a cache and `fill_cache`, the missing blocks are inserted.
-  Status FetchAlignedCached(uint64_t byte_lo, uint64_t byte_hi, char* dst,
-                            OpStats stats, bool fill_cache);
-  /// Cache probe of every io block of the aligned span [byte_lo, byte_hi),
-  /// shared by the inline and batched plans. Hit blocks are copied into `dst`
-  /// and flagged in *block_hit. True (counting kBlockCacheHits) when every
-  /// block hit: the span is assembled with zero Env reads. Otherwise every
-  /// block counts as a kBlockCacheMiss — a partially warm span is refetched
-  /// whole, so hit% agrees with the Env-read savings instead of
-  /// overstating them.
-  bool ProbeCachedSpan(uint64_t byte_lo, uint64_t byte_hi, char* dst,
-                       std::vector<bool>* block_hit, OpStats stats);
-  /// After the span's read: inserts the blocks the probe missed from the
-  /// fetched bytes at `src`, counting kBlockCacheEvictions.
-  void CacheColdBlocks(uint64_t byte_lo, uint64_t byte_hi, const char* src,
-                       const std::vector<bool>& block_hit, OpStats stats);
+  /// Cache probe of every io block of `span`: hit blocks are copied into
+  /// its buffer and flagged in its block_hit. True (counting
+  /// kBlockCacheHits) when every block hit: the span is assembled with
+  /// zero Env reads. Otherwise every block counts as a kBlockCacheMiss — a
+  /// partially warm span is refetched whole, so hit% agrees with the
+  /// Env-read savings instead of overstating them.
+  bool ProbeCachedSpan(Span* span, OpStats stats);
+  /// After the span's read: inserts the blocks the probe missed from its
+  /// buffer, counting kBlockCacheEvictions.
+  void CacheColdBlocks(const Span& span, OpStats stats);
   /// Inclusive entry window [*lo, *hi] for keys[i]: the caller's
   /// level-model bounds when given, else the file index's prediction
   /// (timed as kIndexPredict); clamped to the entry array either way.
@@ -331,6 +301,36 @@ class TableReader {
   uint32_t value_size_ = 0;
   uint32_t entry_size_ = 0;
   uint64_t data_size_ = 0;  // count_ * entry_size_
+};
+
+/// One run's lookup plan, carried from PrepareMultiGet to FinishMultiGet:
+/// the keys that survived range/bloom screening, their search bounds, and
+/// the aligned byte spans backing them. The caller owns it and may reuse
+/// it across calls; its spans keep their buffers, so a warm reused plan
+/// allocates nothing. It holds no reference to the reader.
+/// Destroying or reusing a pending object whose batch has not been waited
+/// is illegal (requests reference its buffers).
+class PendingMultiGet {
+ private:
+  friend class TableReader;
+
+  using Span = TableReader::Span;
+  struct KeyPlan {
+    int span = -1;  // -1: resolved at Prepare (out of range / bloom miss)
+    bool probed = false;  // passed a bloom probe (counts TP/FP at Finish)
+    size_t lo = 0;
+    size_t hi = 0;  // inclusive entry bounds for the buffer search
+  };
+
+  /// Opens span number num_spans_ over `window`, reusing an earlier
+  /// plan's buffer.
+  Span& NewSpan(const TableReader::AlignedSpan& window);
+
+  std::span<const Key> keys_;  // the caller's, alive until Finish
+  std::vector<KeyPlan> plans_;
+  std::vector<Span> spans_;    // the first num_spans_ are this plan's
+  size_t num_spans_ = 0;
+  bool fill_cache_ = true;
 };
 
 }  // namespace lilsm

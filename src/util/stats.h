@@ -64,8 +64,8 @@ enum class Counter : int {
   kSubcompactions,     // compaction shards run by sharded compactions
   kAsyncBatches,       // ReadBatch::Wait calls that reached the Env
   kAsyncReads,         // read requests submitted through batches
-  kReadaheadHits,      // iterator blocks served from the readahead window
-  kReadaheadWasted,    // prefetched blocks dropped before any use
+  kReadaheadHits,      // blocks of readahead spans the iterator consumed
+  kReadaheadWasted,    // blocks of readahead spans dropped or failed
   kServerRequests,     // request frames executed by the service layer
   kServerBatchKeys,    // keys carried by served Get/MultiGet frames
   kServerBytesIn,      // wire bytes read from client connections

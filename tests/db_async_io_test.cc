@@ -153,6 +153,40 @@ TEST(DbAsyncIoTest, IteratorReadaheadMatchesSyncScan) {
   }
 }
 
+// The readahead span probes the block cache before it reads: after a
+// warm-up scan fills the cache, a full scan with readahead makes no Env
+// read at all and returns the same entries.
+TEST(DbAsyncIoTest, WarmCacheReadaheadScanMakesNoReads) {
+  ScratchDir dir("dbasync_warm");
+  SimEnvOptions sim_options;
+  sim_options.read_base_latency_ns = 0;  // count I/O, don't simulate it
+  sim_options.read_per_byte_ns = 0.0;
+  SimEnv env(Env::Default(), sim_options);
+  const std::vector<Key> keys = RandomGapKeys(5000, 17);
+  DBOptions options = SmallOptions(1, 8 << 20);  // holds every block
+  options.env = &env;
+  std::unique_ptr<DB> db;
+  ASSERT_LILSM_OK(DB::Open(options, dir.path(), &db));
+  LoadAndCompact(db.get(), keys);
+
+  std::vector<std::pair<Key, std::string>> warm, ahead;
+  for (int pass = 0; pass < 2; pass++) {
+    ReadOptions ropts;
+    ropts.readahead_blocks = pass == 0 ? 0 : 4;
+    auto* out = pass == 0 ? &warm : &ahead;
+    env.io_stats()->Reset();
+    auto iter = db->NewIterator(ropts);
+    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+      out->emplace_back(iter->key(), iter->value().ToString());
+    }
+    ASSERT_LILSM_OK(iter->status());
+  }
+  EXPECT_EQ(env.io_stats()->random_reads.load(), 0u);
+  EXPECT_EQ(warm.size(), keys.size());
+  EXPECT_EQ(warm, ahead);
+  EXPECT_GT(db->stats()->Count(Counter::kReadaheadHits), 0u);
+}
+
 // Level-granularity lookups (the paper's LevelModel axis) route through
 // the same async branch with model-predicted bounds; results must stay
 // bit-identical to the synchronous level-model path.

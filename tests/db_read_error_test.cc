@@ -45,6 +45,10 @@ class FailingReadEnv : public Env {
     std::lock_guard<std::mutex> lock(mu_);
     failing_.insert(fnames.begin(), fnames.end());
   }
+  void ClearFailures() {
+    std::lock_guard<std::mutex> lock(mu_);
+    failing_.clear();
+  }
   uint64_t failed_reads() const { return failed_reads_.load(); }
 
   Status NewRandomAccessFile(
@@ -170,7 +174,8 @@ class DbReadErrorTest : public ::testing::TestWithParam<ErrorCase> {
     // Open every reader while reads still succeed, then break the target.
     std::string value;
     for (Key key : keys_) ASSERT_LILSM_OK(db_->Get(key, &value));
-    env_.FailFiles(GetParam().target == Target::kLevel0 ? level0 : deeper);
+    target_files_ = GetParam().target == Target::kLevel0 ? level0 : deeper;
+    env_.FailFiles(target_files_);
   }
 
   std::vector<std::string> TableFiles() {
@@ -198,6 +203,7 @@ class DbReadErrorTest : public ::testing::TestWithParam<ErrorCase> {
   std::unique_ptr<ScratchDir> dir_;
   std::unique_ptr<DB> db_;
   std::vector<Key> keys_;
+  std::vector<std::string> target_files_;  // the files whose reads fail
 };
 
 TEST_P(DbReadErrorTest, GetReturnsTheReadError) {
@@ -271,6 +277,36 @@ TEST_P(DbReadErrorTest, MultiGetMarksEveryUnservedKey) {
     // The failing level's runs went through the read batch.
     EXPECT_GT(local.Count(Counter::kAsyncReads), 0u);
     EXPECT_GT(local.Count(Counter::kAsyncBatches), 0u);
+  }
+}
+
+// A scan over failing table preads ends with that IOError, never as an OK
+// scan cut short or missing a failed file's entries — with the failure
+// there from the first read or starting mid-scan, and at readahead 0 and 4
+// (cache off: every block is read).
+TEST_P(DbReadErrorTest, ScanReturnsTheReadError) {
+  for (size_t readahead : {size_t{0}, size_t{4}}) {
+    ReadOptions ropts;
+    ropts.readahead_blocks = readahead;
+    for (bool mid_scan : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "readahead " << readahead
+                                      << (mid_scan ? " mid-scan" : ""));
+      if (mid_scan) env_.ClearFailures();
+      auto iter = db_->NewIterator(ropts);
+      iter->SeekToFirst();
+      size_t n = 0;
+      if (mid_scan) {
+        for (; n < keys_.size() / 4 && iter->Valid(); n++) iter->Next();
+        ASSERT_LILSM_OK(iter->status());
+        ASSERT_TRUE(iter->Valid());
+        env_.FailFiles(target_files_);
+      }
+      for (; iter->Valid(); iter->Next()) n++;
+      EXPECT_TRUE(iter->status().IsIOError()) << iter->status().ToString();
+      EXPECT_NE(iter->status().ToString().find("injected read failure"),
+                std::string::npos);
+      EXPECT_LE(n, keys_.size());
+    }
   }
 }
 

@@ -93,7 +93,7 @@ class ModelCatalogTest : public ::testing::Test {
 };
 
 TEST_F(ModelCatalogTest, StitchedModelPredictsAcrossFiles) {
-  ModelCatalog catalog(Env::Default(), &stats_, /*stitch_blowup=*/4.0);
+  ModelCatalog catalog(Env::Default(), &stats_);
   std::vector<FileMeta> files = BuildFiles({3000, 6000}, 9000);
   LevelModelRef model;
   ASSERT_LILSM_OK(catalog.BuildForInstall(files, cache_.get(),
@@ -114,7 +114,7 @@ TEST_F(ModelCatalogTest, StitchWindowsAgreeWithFullRetrain) {
   for (IndexType type :
        {IndexType::kPLR, IndexType::kFITingTree, IndexType::kPGM}) {
     SCOPED_TRACE(IndexTypeName(type));
-    ModelCatalog catalog(Env::Default(), &stats_, 4.0);
+    ModelCatalog catalog(Env::Default(), &stats_);
     std::vector<FileMeta> files = BuildFiles({2500, 4000, 7000}, 9000);
     LevelModelRef stitched, retrained;
     ASSERT_LILSM_OK(catalog.BuildForInstall(files, cache_.get(), type,
@@ -139,7 +139,7 @@ TEST_F(ModelCatalogTest, StitchWindowsAgreeWithFullRetrain) {
 TEST_F(ModelCatalogTest, IncrementalStitchMatchesFromScratchAcrossChurn) {
   for (uint64_t seed : {1u, 7u, 23u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    ModelCatalog incremental(Env::Default(), &stats_, 4.0);
+    ModelCatalog incremental(Env::Default(), &stats_);
     Random rnd(seed);
     LevelModelRef model;
     std::vector<FileMeta> files;
@@ -163,7 +163,7 @@ TEST_F(ModelCatalogTest, IncrementalStitchMatchesFromScratchAcrossChurn) {
       ASSERT_TRUE(model->stitched);
       CheckWindows(*model, files);
 
-      ModelCatalog scratch(Env::Default(), &stats_, 4.0);
+      ModelCatalog scratch(Env::Default(), &stats_);
       LevelModelRef fresh;
       ASSERT_LILSM_OK(scratch.BuildForInstall(files, cache_.get(),
                                               IndexType::kPGM, config_,
@@ -189,7 +189,7 @@ TEST_F(ModelCatalogTest, IncrementalStitchMatchesFromScratchAcrossChurn) {
 // under must not shrink the stitched model's windows: the stitch adopts
 // the widest per-file training epsilon, so present keys stay covered.
 TEST_F(ModelCatalogTest, EpsilonDriftDoesNotUnderCover) {
-  ModelCatalog catalog(Env::Default(), &stats_, 4.0);
+  ModelCatalog catalog(Env::Default(), &stats_);
   std::vector<FileMeta> files = BuildFiles({3000, 6000}, 9000);
   IndexConfig narrow = IndexConfig::FromPositionBoundary(4);  // epsilon 2
   LevelModelRef model;
@@ -211,7 +211,7 @@ TEST_F(ModelCatalogTest, CanStitchMatchesSegmentBasedTypes) {
 }
 
 TEST_F(ModelCatalogTest, UnsupportedTypeFallsBackToRetrain) {
-  ModelCatalog catalog(Env::Default(), &stats_, 4.0);
+  ModelCatalog catalog(Env::Default(), &stats_);
   std::vector<FileMeta> files = BuildFiles({4500}, 9000);
   LevelModelRef model;
   ASSERT_LILSM_OK(catalog.BuildForInstall(files, cache_.get(),
@@ -225,32 +225,34 @@ TEST_F(ModelCatalogTest, UnsupportedTypeFallsBackToRetrain) {
 
 TEST_F(ModelCatalogTest, BlowupRatioForcesRetrain) {
   std::vector<FileMeta> files = BuildFiles({3000, 6000}, 9000);
+  // A previous model whose baseline density is far below any stitch's
+  // puts every stitch past kStitchBlowup times the baseline.
+  LevelModel sparse;
+  sparse.baseline_density = 1e-9;
   {
-    // A sub-1 ratio can never be satisfied (density <= ratio * baseline
-    // fails even against the stitch's own density): always retrain.
-    ModelCatalog catalog(Env::Default(), &stats_, 0.5);
+    ModelCatalog catalog(Env::Default(), &stats_);
     LevelModelRef model;
     ASSERT_LILSM_OK(catalog.BuildForInstall(files, cache_.get(),
                                             IndexType::kPGM, config_,
-                                            nullptr, &model));
+                                            &sparse, &model));
     EXPECT_FALSE(model->stitched);
     EXPECT_EQ(stats_.Count(Counter::kModelRetrains), 1u);
   }
   {
     // The install path defers instead of scanning: null model, no
     // retrain, the read path's lazy build picks it up later.
-    ModelCatalog catalog(Env::Default(), &stats_, 0.5);
+    ModelCatalog catalog(Env::Default(), &stats_);
     LevelModelRef model;
     const uint64_t retrains_before = stats_.Count(Counter::kModelRetrains);
     ASSERT_LILSM_OK(catalog.BuildForInstall(
-        files, cache_.get(), IndexType::kPGM, config_, nullptr, &model,
+        files, cache_.get(), IndexType::kPGM, config_, &sparse, &model,
         ModelCatalog::StitchFallback::kDefer));
     EXPECT_EQ(model, nullptr);
     EXPECT_EQ(stats_.Count(Counter::kModelRetrains), retrains_before);
   }
   {
-    // Ratio <= 0 disables the fallback entirely.
-    ModelCatalog catalog(Env::Default(), &stats_, 0.0);
+    // Against its own density (no previous model) a stitch is in bounds.
+    ModelCatalog catalog(Env::Default(), &stats_);
     LevelModelRef model;
     ASSERT_LILSM_OK(catalog.BuildForInstall(files, cache_.get(),
                                             IndexType::kPGM, config_,
@@ -260,7 +262,7 @@ TEST_F(ModelCatalogTest, BlowupRatioForcesRetrain) {
 }
 
 TEST_F(ModelCatalogTest, PruneDropsDeadFileSegments) {
-  ModelCatalog catalog(Env::Default(), &stats_, 4.0);
+  ModelCatalog catalog(Env::Default(), &stats_);
   std::vector<FileMeta> files = BuildFiles({3000, 6000}, 9000);
   LevelModelRef model;
   ASSERT_LILSM_OK(catalog.BuildForInstall(files, cache_.get(),
@@ -277,7 +279,7 @@ TEST_F(ModelCatalogTest, PruneDropsDeadFileSegments) {
 // version-pinned slots): one build per version, cached on re-reads, and a
 // fresh version starts empty instead of consulting a mismatched model.
 TEST_F(ModelCatalogTest, LazyGetOrBuildIsVersionPinned) {
-  ModelCatalog catalog(Env::Default(), &stats_, 4.0);
+  ModelCatalog catalog(Env::Default(), &stats_);
   std::vector<FileMeta> files = BuildFiles({3000, 6000}, 9000);
 
   Version v1;
