@@ -15,7 +15,7 @@
 //
 // --io-depth=N opens the DB with DBOptions::io_depth = N so batched reads
 // fetch each level's runs as one async batch; --readahead=K makes scan
-// ops prefetch K blocks ahead. Both default off (synchronous paper path);
+// ops read K blocks at a time. Both default off (synchronous paper path);
 // combine with --multiget-batch to reproduce the io-depth scaling table
 // in EXPERIMENTS.md (BENCH_pr7.json).
 #include "bench/bench_common.h"

@@ -50,7 +50,7 @@ struct ExperimentDefaults {
   /// configuration). The benches expose it as --io-depth.
   int io_depth = 1;
   /// ReadOptions::readahead_blocks for scan-shaped workload phases (0 =
-  /// no prefetch). The benches expose it as --readahead.
+  /// no readahead). The benches expose it as --readahead.
   size_t readahead_blocks = 0;
 
   /// Reads the LILSM_* environment overrides.

@@ -46,10 +46,10 @@ struct CompactionContext {
   /// a pool.
   ThreadPool* subcompaction_pool = nullptr;
   int max_subcompactions = 1;
-  /// Blocks of readahead for each input iterator (0 = synchronous reads).
+  /// Blocks of readahead for each input iterator (0 = one block per read).
   /// Set from DBOptions::io_depth > 1: the merge consumes inputs strictly
-  /// forward, so prefetching the next blocks through an async read batch
-  /// overlaps input I/O with merging without changing any output byte.
+  /// forward, so reading that many blocks at a time uses every block read
+  /// without changing any output byte.
   size_t input_readahead = 0;
 };
 

@@ -602,9 +602,9 @@ class DBImpl final : public DB {
   /// references: the iterator's cleanup unpins them (on failure they are
   /// unpinned before the error iterator is returned). `fill_cache` gates
   /// whether the table iterators' block fetches populate the block cache;
-  /// `readahead_blocks` > 0 makes each table iterator prefetch upcoming
-  /// I/O blocks through an async read batch (results are identical, only
-  /// the fetch timing differs).
+  /// `readahead_blocks` > 0 makes each table iterator read that many I/O
+  /// blocks at a time (results are identical, only the read sizes
+  /// differ).
   std::unique_ptr<Iterator> NewIteratorOverView(ReadView view, bool fill_cache,
                                                 size_t readahead_blocks = 0) {
     std::vector<std::unique_ptr<TableIterator>> children;

@@ -148,12 +148,12 @@ struct ReadOptions {
   /// input reads behave as if it were false.
   bool fill_cache = true;
 
-  /// Model-guided readahead for iterators created by this call (and the
-  /// scans under RangeLookup): each table iterator prefetches up to this
-  /// many upcoming I/O blocks through an async read batch while the
-  /// caller consumes the current one. 0 (default): each block is read
-  /// when the scan reaches it. Either way the scan returns the same
-  /// entries; kReadaheadHits / kReadaheadWasted show prefetch success.
+  /// Readahead for iterators created by this call (and the scans under
+  /// RangeLookup): when a table iterator's cursor leaves its window, it
+  /// reads this many I/O blocks from the cursor's block in one read.
+  /// 0 (default): each block is read when the scan reaches it. Either way
+  /// the scan returns the same entries; kReadaheadHits / kReadaheadWasted
+  /// count the read-ahead blocks the cursor reached and never reached.
   size_t readahead_blocks = 0;
 };
 

@@ -606,11 +606,8 @@ Status TableReader::ReadAllKeys(std::vector<Key>* keys) {
 /// Streams entries block by block: Seek uses the learned index like a point
 /// lookup, then Next() advances inside the fetched window and reads the
 /// following I/O block when exhausted (the paper's range-lookup phase 2).
-/// With readahead_blocks > 0 the iterator also keeps one readahead span:
-/// readahead_blocks io blocks from the block holding the entry after its
-/// window, issued through its own ReadBatch. When the cursor reaches it,
-/// the iterator waits, completes it, swaps it in as the window and issues
-/// the next one.
+/// With readahead_blocks > 0 that read is widened to readahead_blocks io
+/// blocks: one synchronous span read, probed in the block cache first.
 class TableReader::Iterator final : public TableIterator {
  public:
   Iterator(TableReader* reader, bool fill_cache, size_t readahead_blocks)
@@ -618,24 +615,22 @@ class TableReader::Iterator final : public TableIterator {
         fill_cache_(fill_cache),
         readahead_blocks_(readahead_blocks) {
     window_.first = 1;  // holds no entry until the first read
-    if (readahead_blocks_ > 0) {
-      batch_ = reader_->options_.env->NewReadBatch(1);
-    }
   }
 
-  // The pending request references the readahead buffer: reap it first.
-  ~Iterator() override { ReapAhead(false); }
+  ~Iterator() override { SettleReadahead(); }
 
   bool Valid() const override {
     return status_.ok() && pos_ < reader_->count_;
   }
 
   void SeekToFirst() override {
+    SettleReadahead();
     pos_ = 0;
     EnsureBuffered();
   }
 
   void Seek(Key target) override {
+    SettleReadahead();
     if (reader_->count_ == 0) {
       pos_ = 0;
       return;
@@ -652,7 +647,7 @@ class TableReader::Iterator final : public TableIterator {
     size_t win_lo = 0, win_hi = 0;  // clamped: indexes the fetched buffer
     reader_->EntryWindow(target, nullptr, nullptr, 0, reader_->options_.stats,
                          &win_lo, &win_hi);
-    if (!ReadWindow(win_lo, win_hi)) return;
+    if (!ReadWindow(reader_->Align(win_lo, win_hi))) return;
     const size_t first = window_.first;
     const Key range_first = reader_->EntryKeyInBuffer(base_, first, win_lo);
     const Key range_last = reader_->EntryKeyInBuffer(base_, first, win_hi);
@@ -678,7 +673,6 @@ class TableReader::Iterator final : public TableIterator {
       pos_ = lo;
     }
     EnsureBuffered();
-    IssueAhead();
   }
 
   void Next() override {
@@ -709,17 +703,12 @@ class TableReader::Iterator final : public TableIterator {
     return base_ + (pos_ - window_.first) * reader_->entry_size_;
   }
 
-  bool Holds(const Span& span) const {
-    return pos_ >= span.first && pos_ <= span.last;
-  }
-
-  /// Reads entries [lo, hi] (lo <= hi < count) into the window with one
-  /// inline span read. Its cache probes count on the table's stats sink,
-  /// but an uncached table's preads stay out of its kDiskRead timer, which
-  /// belongs to point lookups.
-  bool ReadWindow(size_t lo, size_t hi) {
-    assert(lo <= hi && hi < reader_->count_);
-    static_cast<AlignedSpan&>(window_) = reader_->Align(lo, hi);
+  /// Reads `span` into the window with one inline span read. Its cache
+  /// probes count on the table's stats sink, but an uncached table's
+  /// preads stay out of its kDiskRead timer, which belongs to point
+  /// lookups.
+  bool ReadWindow(const AlignedSpan& span) {
+    static_cast<AlignedSpan&>(window_) = span;
     const OpStats stats = reader_->options_.block_cache != nullptr
                               ? reader_->options_.stats
                               : OpStats();
@@ -729,79 +718,52 @@ class TableReader::Iterator final : public TableIterator {
     return status_.ok();
   }
 
-  /// Makes the window hold pos_: the readahead span when it does and its
-  /// read succeeded, else a synchronous read of the block holding pos_,
-  /// which reports any real error. A new window issues the next
-  /// readahead span.
+  /// Makes the window hold pos_ by reading the block holding it — with
+  /// readahead, readahead_blocks_ io blocks from that one, widened to hold
+  /// the entry whole.
   void EnsureBuffered() {
-    if (!status_.ok() || pos_ >= reader_->count_ || Holds(window_)) return;
-    if (Holds(ahead_) && ReapAhead(true)) {
-      std::swap(window_, ahead_);
-      base_ = reader_->SpanEntries(window_);
-    } else if (!ReadWindow(pos_, pos_)) {
+    if (!status_.ok() || pos_ >= reader_->count_ ||
+        (pos_ >= window_.first && pos_ <= window_.last)) {
       return;
     }
-    IssueAhead();
-  }
-
-  /// Issues readahead_blocks_ io blocks from the block holding the entry
-  /// after the window — on a straddling entry, the window's tail block —
-  /// widened to hold that entry whole, unless that span is already
-  /// pending. Any other pending span is dropped first.
-  void IssueAhead() {
-    if (readahead_blocks_ == 0 || !status_.ok() ||
-        window_.last + 1 >= reader_->count_) {
-      return;
-    }
-    AlignedSpan next = reader_->Align(window_.last + 1, window_.last + 1);
-    if (ahead_issued_ && ahead_.byte_lo == next.byte_lo) return;
-    ReapAhead(false);
+    SettleReadahead();
+    AlignedSpan span = reader_->Align(pos_, pos_);
     const uint64_t byte_hi = std::min(
         reader_->data_size_,
-        next.byte_lo + readahead_blocks_ * reader_->options_.io_block_size);
-    if (byte_hi > next.byte_hi) {
-      next.byte_hi = byte_hi;
-      next.last = static_cast<size_t>(byte_hi / reader_->entry_size_) - 1;
+        span.byte_lo + readahead_blocks_ * reader_->options_.io_block_size);
+    if (byte_hi > span.byte_hi) {
+      span.byte_hi = byte_hi;
+      span.last = static_cast<size_t>(byte_hi / reader_->entry_size_) - 1;
     }
-    static_cast<AlignedSpan&>(ahead_) = next;
-    reader_->IssueSpan(&ahead_, batch_.get(), reader_->options_.stats);
-    ahead_issued_ = true;
+    ahead_window_ = ReadWindow(span) && readahead_blocks_ > 0;
   }
 
-  /// Waits for the readahead span's read, if any. With `use` it completes
-  /// the span and returns whether its bytes are good, counting its blocks
-  /// as kReadaheadHits; otherwise, or when the read failed, they count as
-  /// kReadaheadWasted — readahead is advisory.
-  bool ReapAhead(bool use) {
-    if (!ahead_issued_) return false;
-    ahead_issued_ = false;
+  /// Counts a readahead window's io blocks up to the one holding the
+  /// cursor's entry as kReadaheadHits and the rest, which the cursor never
+  /// reached, as kReadaheadWasted. Runs before the cursor leaves the
+  /// window.
+  void SettleReadahead() {
+    if (!ahead_window_) return;
+    ahead_window_ = false;
     Stats* stats = reader_->options_.stats;
-    if (ahead_.read_pending) {
-      {
-        ScopedTimer timer(stats, Timer::kAsyncReap, reader_->options_.env);
-        batch_->Wait();
-      }
-      if (stats != nullptr) stats->Add(Counter::kAsyncBatches);
-    }
-    const bool ok =
-        use && reader_->CompleteSpan(&ahead_, fill_cache_, stats).ok();
-    if (stats != nullptr) {
-      const uint64_t block = reader_->options_.io_block_size;
-      stats->Add(ok ? Counter::kReadaheadHits : Counter::kReadaheadWasted,
-                 (ahead_.byte_hi - ahead_.byte_lo + block - 1) / block);
-    }
-    return ok;
+    if (stats == nullptr) return;
+    const uint64_t block = reader_->options_.io_block_size;
+    const uint64_t reached = std::min(
+        window_.byte_hi, uint64_t{pos_ + 1} * reader_->entry_size_);
+    const uint64_t hits = (reached - window_.byte_lo + block - 1) / block;
+    const uint64_t blocks =
+        (window_.byte_hi - window_.byte_lo + block - 1) / block;
+    stats->Add(Counter::kReadaheadHits, hits);
+    if (blocks > hits) stats->Add(Counter::kReadaheadWasted, blocks - hits);
   }
 
   TableReader* const reader_;
   const bool fill_cache_;
   const size_t readahead_blocks_;
-  std::unique_ptr<ReadBatch> batch_;
   Status status_;
   Span window_;                 // the buffered entries
   const char* base_ = nullptr;  // window_'s entry window_.first
-  Span ahead_;                  // the readahead span, when ahead_issued_
-  bool ahead_issued_ = false;
+  bool ahead_window_ = false;   // window_ is a readahead read, not settled
   size_t pos_ = 0;
 };
 

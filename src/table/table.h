@@ -171,10 +171,10 @@ class TableReader {
   /// `fill_cache` = false keeps the iterator's block fetches from
   /// populating the block cache (scans and compaction inputs must not
   /// evict the point-lookup hot set); cache hits are still served.
-  /// `readahead_blocks` > 0 makes the iterator keep one readahead span of
-  /// that many io blocks past its window, probed in the block cache and
-  /// read through Env::NewReadBatch, so a sequential scan reads ahead in
-  /// larger spans (0 = one synchronous block read at a time).
+  /// `readahead_blocks` > 0 widens each read the iterator makes when its
+  /// cursor leaves the window to that many io blocks, probed in the block
+  /// cache first, so a sequential scan reads in larger spans (0 = one
+  /// block read at a time).
   std::unique_ptr<TableIterator> NewIterator(bool fill_cache = true,
                                              size_t readahead_blocks = 0);
 
@@ -230,8 +230,7 @@ class TableReader {
   AlignedSpan Align(size_t lo, size_t hi) const;
 
   /// An aligned span and its one read — the unit every table read goes
-  /// through: the batched plan's spans, the iterator's window and its
-  /// readahead span. IssueSpan starts the read and CompleteSpan finishes
+  /// through: the batched plan's spans and the iterator's window. IssueSpan starts the read and CompleteSpan finishes
   /// it; a span's buffer is kept across reuses.
   struct Span : AlignedSpan {
     std::string buffer;           // >= byte_hi - byte_lo bytes

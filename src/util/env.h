@@ -59,8 +59,7 @@ struct ReadRequest {
 /// executes them all (up to `io_depth` in flight at once) and returns the
 /// first failure, if any — per-request outcomes land in each request's
 /// `result`/`status`. Wait() clears the queue, so one batch object can be
-/// reused across successive submission rounds (a table iterator issues
-/// one readahead span per round on its own batch; a MultiGet level, one
+/// reused across successive submission rounds (a MultiGet level adds one
 /// request per cold span). Batches are not thread-safe; each belongs to
 /// one caller.
 class ReadBatch {

@@ -113,8 +113,8 @@ TEST(DbAsyncIoTest, AsyncMultiGetMatchesSyncBitExact) {
 }
 
 // Full-scan and range-lookup equivalence: readahead on and off return the
-// identical entry sequence, cache off and on, with prefetches actually
-// landing (kReadaheadHits advances on the readahead pass).
+// identical entry sequence, cache off and on, with widened reads actually
+// used (kReadaheadHits advances on the readahead pass).
 TEST(DbAsyncIoTest, IteratorReadaheadMatchesSyncScan) {
   ScratchDir dir("dbasync_scan");
   const std::vector<Key> keys = RandomGapKeys(5000, 5);
@@ -153,7 +153,7 @@ TEST(DbAsyncIoTest, IteratorReadaheadMatchesSyncScan) {
   }
 }
 
-// The readahead span probes the block cache before it reads: after a
+// A readahead read probes the block cache before it reads: after a
 // warm-up scan fills the cache, a full scan with readahead makes no Env
 // read at all and returns the same entries.
 TEST(DbAsyncIoTest, WarmCacheReadaheadScanMakesNoReads) {
