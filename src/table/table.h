@@ -230,8 +230,9 @@ class TableReader {
   AlignedSpan Align(size_t lo, size_t hi) const;
 
   /// An aligned span and its one read — the unit every table read goes
-  /// through: the batched plan's spans and the iterator's window. IssueSpan starts the read and CompleteSpan finishes
-  /// it; a span's buffer is kept across reuses.
+  /// through: the batched plan's spans and the iterator's window.
+  /// IssueSpan starts the read and CompleteSpan finishes it; a span's
+  /// buffer is kept across reuses.
   struct Span : AlignedSpan {
     std::string buffer;           // >= byte_hi - byte_lo bytes
     std::vector<bool> block_hit;  // cache probe result per io block
