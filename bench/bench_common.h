@@ -138,19 +138,13 @@ inline LevelModelPolicy ParseLevelModelPolicy(const std::string& name) {
 /// the DB is opened with DBOptions::io_depth = N, so MultiGet fetches
 /// each level's runs through one async read batch (1, the default, keeps
 /// the synchronous paper path). Lands in ExperimentDefaults::io_depth.
-///
-/// readahead (optional) enables the --readahead=N flag (fig12, fig13):
-/// scan phases pass ReadOptions::readahead_blocks = N so iterators
-/// prefetch upcoming blocks (0, the default, keeps scans synchronous).
-/// Lands in ExperimentDefaults::readahead_blocks.
 inline ExperimentDefaults BenchDefaults(int argc, char** argv,
                                         bool* ops_from_flags = nullptr,
                                         size_t* threads = nullptr,
                                         std::string* level_model = nullptr,
                                         size_t* multiget_batch = nullptr,
                                         size_t* block_cache_mb = nullptr,
-                                        size_t* io_depth = nullptr,
-                                        size_t* readahead = nullptr) {
+                                        size_t* io_depth = nullptr) {
   ExperimentDefaults d = BenchDefaults();
   if (ops_from_flags != nullptr) *ops_from_flags = false;
   auto require_positive = [](const char* flag, size_t value) {
@@ -202,23 +196,18 @@ inline ExperimentDefaults BenchDefaults(int argc, char** argv,
       }
       *io_depth = value;
       d.io_depth = static_cast<int>(value);
-    } else if (readahead != nullptr &&
-               ParseSizeFlag(argc, argv, &i, "--readahead", &value)) {
-      *readahead = value;
-      d.readahead_blocks = value;
     } else if (std::strcmp(argv[i], "--help") == 0 ||
                std::strcmp(argv[i], "-h") == 0) {
       std::printf(
           "usage: %s [--n KEYS] [--ops OPS] [--value-size BYTES] "
-          "[--seed SEED]%s%s%s%s%s%s\n"
+          "[--seed SEED]%s%s%s%s%s\n"
           "Environment overrides (LILSM_N, LILSM_OPS, ...) are documented "
           "in src/core/config.h; flags take precedence.\n",
           argv[0], threads != nullptr ? " [--threads T]" : "",
           level_model != nullptr ? " [--level-model lazy|maintained]" : "",
           multiget_batch != nullptr ? " [--multiget-batch N]" : "",
           block_cache_mb != nullptr ? " [--block-cache-mb MB]" : "",
-          io_depth != nullptr ? " [--io-depth N]" : "",
-          readahead != nullptr ? " [--readahead BLOCKS]" : "");
+          io_depth != nullptr ? " [--io-depth N]" : "");
       std::exit(0);
     } else {
       std::fprintf(stderr, "%s: unknown flag %s (try --help)\n", argv[0],

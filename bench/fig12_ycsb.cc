@@ -14,10 +14,9 @@
 // to trade memory for device reads on the zipfian mixes (EXPERIMENTS.md).
 //
 // --io-depth=N opens the DB with DBOptions::io_depth = N so batched reads
-// fetch each level's runs as one async batch; --readahead=K makes scan
-// ops read K blocks at a time. Both default off (synchronous paper path);
-// combine with --multiget-batch to reproduce the io-depth scaling table
-// in EXPERIMENTS.md (BENCH_pr7.json).
+// fetch each level's runs as one async batch. It defaults off (synchronous
+// paper path); combine it with --multiget-batch to reproduce the io-depth
+// scaling table in EXPERIMENTS.md (BENCH_pr7.json).
 #include "bench/bench_common.h"
 
 using namespace lilsm;
@@ -27,21 +26,18 @@ int main(int argc, char** argv) {
   size_t multiget_batch = 0;
   size_t block_cache_mb = 0;
   size_t io_depth = 0;
-  size_t readahead = 0;
   ExperimentDefaults d = bench::BenchDefaults(argc, argv, &ops_from_flags,
                                               nullptr, nullptr,
                                               &multiget_batch,
-                                              &block_cache_mb, &io_depth,
-                                              &readahead);
+                                              &block_cache_mb, &io_depth);
   if (!ops_from_flags) d.num_ops = std::max<size_t>(500, d.num_ops / 2);
   bench::PrintHeader("Figure 12", "YCSB A-F: latency vs index memory", d);
   if (multiget_batch > 1) {
     std::printf("# reads served through MultiGet, batch=%zu\n\n",
                 multiget_batch);
   }
-  if (d.io_depth > 1 || d.readahead_blocks > 0) {
-    std::printf("# async I/O: io_depth=%d readahead=%zu blocks\n\n",
-                d.io_depth, d.readahead_blocks);
+  if (d.io_depth > 1) {
+    std::printf("# async I/O: io_depth=%d\n\n", d.io_depth);
   }
   // The env override (LILSM_BLOCK_CACHE_MB) enables the cache too, so
   // key the extra columns off the resolved capacity, not the flag.

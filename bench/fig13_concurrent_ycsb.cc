@@ -406,11 +406,10 @@ int main(int argc, char** argv) {
   }
   int pass_argc = static_cast<int>(passthrough.size());
   size_t io_depth = 0;
-  size_t readahead = 0;
   ExperimentDefaults d =
       bench::BenchDefaults(pass_argc, passthrough.data(), nullptr, &threads,
                            nullptr, &multiget_batch, &block_cache_mb,
-                           &io_depth, &readahead);
+                           &io_depth);
   const bool writeheavy = workload_mode == "writeheavy";
 
   if (server_mode) {
@@ -502,9 +501,8 @@ int main(int argc, char** argv) {
     std::printf("# shared block cache: %zu MiB\n\n",
                 d.block_cache_bytes >> 20);
   }
-  if (d.io_depth > 1 || d.readahead_blocks > 0) {
-    std::printf("# async I/O: io_depth=%d readahead=%zu blocks\n\n",
-                d.io_depth, d.readahead_blocks);
+  if (d.io_depth > 1) {
+    std::printf("# async I/O: io_depth=%d\n\n", d.io_depth);
   }
 
   // Blocking (sleeping) device model: waits overlap across threads. The

@@ -42,9 +42,6 @@ ExperimentDefaults ExperimentDefaults::FromEnvironment() {
     const long depth = std::strtol(v, nullptr, 10);
     if (depth > 0) d.io_depth = static_cast<int>(depth);
   }
-  if (const char* v = std::getenv("LILSM_READAHEAD")) {
-    d.readahead_blocks = std::strtoull(v, nullptr, 10);
-  }
   return d;
 }
 

@@ -30,7 +30,7 @@ struct IndexSetup {
 /// away:
 ///   LILSM_N, LILSM_VALUE_SIZE, LILSM_OPS, LILSM_SST_MB, LILSM_SEED,
 ///   LILSM_DATASET, LILSM_READ_LAT_NS, LILSM_BLOCK_CACHE_MB,
-///   LILSM_IO_DEPTH, LILSM_READAHEAD.
+///   LILSM_IO_DEPTH.
 struct ExperimentDefaults {
   size_t num_keys = 200'000;
   uint32_t key_size = 24;
@@ -49,9 +49,6 @@ struct ExperimentDefaults {
   /// DBOptions::io_depth (1 = fully synchronous reads, the paper's
   /// configuration). The benches expose it as --io-depth.
   int io_depth = 1;
-  /// ReadOptions::readahead_blocks for scan-shaped workload phases (0 =
-  /// no readahead). The benches expose it as --readahead.
-  size_t readahead_blocks = 0;
 
   /// Reads the LILSM_* environment overrides.
   static ExperimentDefaults FromEnvironment();

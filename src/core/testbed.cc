@@ -192,7 +192,6 @@ Status Testbed::RunRangeLookups(size_t count, size_t range_len,
   BeginRun();
   ReadOptions ropts;
   ropts.stats = &read_stats_;
-  ropts.readahead_blocks = options_.defaults.readahead_blocks;
   std::vector<std::pair<Key, std::string>> out;
   for (Key start : starts) {
     const uint64_t t0 = env->NowNanos();
@@ -272,12 +271,9 @@ Status Testbed::RunYcsb(YcsbWorkload workload, size_t count,
       case YcsbOp::Type::kInsert:
         s = db_->Put(key, DeriveValue(key, d.value_size));
         break;
-      case YcsbOp::Type::kScan: {
-        ReadOptions scan_opts = ropts;
-        scan_opts.readahead_blocks = d.readahead_blocks;
-        s = db_->RangeLookup(scan_opts, key, op.scan_length, &scan_out);
+      case YcsbOp::Type::kScan:
+        s = db_->RangeLookup(ropts, key, op.scan_length, &scan_out);
         break;
-      }
       case YcsbOp::Type::kReadModifyWrite:
         s = db_->Get(ropts, key, &value);
         if (s.IsNotFound()) s = Status::OK();

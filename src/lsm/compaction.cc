@@ -90,8 +90,7 @@ void CompactionJob::MergeShard(const VersionSet::CompactionPick& pick,
       }
       // Compaction streams every input once; filling the block cache here
       // would evict the point-lookup hot set for blocks about to die.
-      children.push_back(
-          reader->NewIterator(/*fill_cache=*/false, ctx_.input_readahead));
+      children.push_back(reader->NewIterator(/*fill_cache=*/false));
     }
   }
   std::unique_ptr<TableIterator> iter =

@@ -46,11 +46,6 @@ struct CompactionContext {
   /// a pool.
   ThreadPool* subcompaction_pool = nullptr;
   int max_subcompactions = 1;
-  /// Blocks of readahead for each input iterator (0 = one block per read).
-  /// Set from DBOptions::io_depth > 1: the merge consumes inputs strictly
-  /// forward, so reading that many blocks at a time uses every block read
-  /// without changing any output byte.
-  size_t input_readahead = 0;
 };
 
 class CompactionJob {

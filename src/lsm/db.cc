@@ -295,8 +295,7 @@ class DBImpl final : public DB {
   }
 
   std::unique_ptr<Iterator> NewIterator(const ReadOptions& ropts) override {
-    return NewIteratorOverView(PinView(ropts.snapshot), ropts.fill_cache,
-                               ropts.readahead_blocks);
+    return NewIteratorOverView(PinView(ropts.snapshot), ropts.fill_cache);
   }
 
   const Snapshot* GetSnapshot() override {
@@ -601,12 +600,9 @@ class DBImpl final : public DB {
   /// Builds a user iterator over `view`, taking ownership of the view's
   /// references: the iterator's cleanup unpins them (on failure they are
   /// unpinned before the error iterator is returned). `fill_cache` gates
-  /// whether the table iterators' block fetches populate the block cache;
-  /// `readahead_blocks` > 0 makes each table iterator read that many I/O
-  /// blocks at a time (results are identical, only the read sizes
-  /// differ).
-  std::unique_ptr<Iterator> NewIteratorOverView(ReadView view, bool fill_cache,
-                                                size_t readahead_blocks = 0) {
+  /// whether the table iterators' block fetches populate the block cache.
+  std::unique_ptr<Iterator> NewIteratorOverView(ReadView view,
+                                                bool fill_cache) {
     std::vector<std::unique_ptr<TableIterator>> children;
     // shared_ptr: the cleanup closure and this scope both reference it.
     auto readers =
@@ -622,7 +618,7 @@ class DBImpl final : public DB {
         s = table_cache_->GetReader(meta.number, &reader);
         if (!s.ok()) break;
         readers->push_back(reader);
-        children.push_back(reader->NewIterator(fill_cache, readahead_blocks));
+        children.push_back(reader->NewIterator(fill_cache));
       }
     }
     if (!s.ok()) {
@@ -1514,9 +1510,6 @@ class DBImpl final : public DB {
     ctx.shutdown = &shutting_down_;
     ctx.subcompaction_pool = bg_pool_.get();
     ctx.max_subcompactions = options_.max_subcompactions;
-    if (options_.io_depth > 1) {
-      ctx.input_readahead = static_cast<size_t>(options_.io_depth);
-    }
 
     const Version* base = versions_->PinCurrent();
     CompactionJob job(ctx);

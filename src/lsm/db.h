@@ -147,14 +147,6 @@ struct ReadOptions {
   /// evict the point-lookup hot set (the RocksDB idiom); compaction
   /// input reads behave as if it were false.
   bool fill_cache = true;
-
-  /// Readahead for iterators created by this call (and the scans under
-  /// RangeLookup): when a table iterator's cursor leaves its window, it
-  /// reads this many I/O blocks from the cursor's block in one read.
-  /// 0 (default): each block is read when the scan reaches it. Either way
-  /// the scan returns the same entries; kReadaheadHits / kReadaheadWasted
-  /// count the read-ahead blocks the cursor reached and never reached.
-  size_t readahead_blocks = 0;
 };
 
 /// Per-call write options.
@@ -251,8 +243,7 @@ struct DBOptions {
   /// reads inline, one blocking read per span. Above 1, a MultiGet level
   /// with at least two runs fetches their spans concurrently through
   /// Env::NewReadBatch (io_uring when available, a thread-pool backend
-  /// otherwise), and compaction input iterators read ahead up to this
-  /// many blocks. Results are bit-identical at every depth; only timing
+  /// otherwise). Results are bit-identical at every depth; only timing
   /// and stage counts (batch, bloom and predict counters) differ.
   int io_depth = 1;
 

@@ -277,9 +277,11 @@ bool TableReader::ProbeCachedSpan(Span* span, OpStats stats) {
   // cache boundary.
   const size_t num_blocks =
       static_cast<size_t>((span->byte_hi - span->byte_lo + block - 1) / block);
+  const size_t carried = static_cast<size_t>(span->carried / block);
   span->block_hit.assign(num_blocks, false);
+  std::fill_n(span->block_hit.begin(), carried, true);
   size_t hit_count = 0;
-  for (size_t b = 0; b < num_blocks; b++) {
+  for (size_t b = carried; b < num_blocks; b++) {
     BlockCache::BlockRef ref =
         cache->Lookup(options_.cache_file_number, span->byte_lo + b * block);
     if (ref == nullptr) continue;
@@ -287,10 +289,11 @@ bool TableReader::ProbeCachedSpan(Span* span, OpStats stats) {
     span->block_hit[b] = true;
     hit_count++;
   }
-  stats.Add(hit_count == num_blocks ? Counter::kBlockCacheHits
-                                    : Counter::kBlockCacheMisses,
-            num_blocks);
-  return hit_count == num_blocks;
+  const size_t probed = num_blocks - carried;
+  stats.Add(hit_count == probed ? Counter::kBlockCacheHits
+                                : Counter::kBlockCacheMisses,
+            probed);
+  return hit_count == probed;
 }
 
 void TableReader::CacheColdBlocks(const Span& span, OpStats stats) {
@@ -328,9 +331,9 @@ void TableReader::IssueSpan(Span* span, ReadBatch* batch, OpStats stats) {
   if (!span->read_pending) return;  // fully warm: no Env read
   // result and status are left stale: every read assigns both.
   span->req.file = file_.get();
-  span->req.offset = span->byte_lo;
-  span->req.n = len;
-  span->req.scratch = span->buffer.data();
+  span->req.offset = span->byte_lo + span->carried;
+  span->req.n = len - static_cast<size_t>(span->carried);
+  span->req.scratch = span->buffer.data() + span->carried;
   if (batch != nullptr) {
     batch->Add(&span->req);
     stats.Add(Counter::kAsyncReads);
@@ -339,20 +342,19 @@ void TableReader::IssueSpan(Span* span, ReadBatch* batch, OpStats stats) {
   // The disk-read timer wraps only this pread — a span served from memory
   // must not masquerade as device I/O in the stage breakdown.
   ScopedTimer timer(stats, Timer::kDiskRead, options_.env);
-  span->req.status =
-      file_->Read(span->byte_lo, len, &span->req.result, span->req.scratch);
+  span->req.status = file_->Read(span->req.offset, span->req.n,
+                                 &span->req.result, span->req.scratch);
 }
 
 Status TableReader::CompleteSpan(Span* span, bool fill_cache, OpStats stats) {
   if (!span->read_pending) return Status::OK();
   span->read_pending = false;
   if (!span->req.status.ok()) return span->req.status;
-  const size_t len = static_cast<size_t>(span->byte_hi - span->byte_lo);
-  if (span->req.result.size() < len) {
+  if (span->req.result.size() < span->req.n) {
     return Status::Corruption("segmented table: short data read");
   }
-  if (span->req.result.data() != span->buffer.data()) {
-    std::memmove(span->buffer.data(), span->req.result.data(), len);
+  if (span->req.result.data() != span->req.scratch) {
+    std::memmove(span->req.scratch, span->req.result.data(), span->req.n);
   }
   if (options_.block_cache != nullptr && fill_cache) {
     CacheColdBlocks(*span, stats);
@@ -604,16 +606,17 @@ Status TableReader::ReadAllKeys(std::vector<Key>* keys) {
 // ---------------------------------------------------------------------------
 
 /// Streams entries block by block: Seek uses the learned index like a point
-/// lookup, then Next() advances inside the fetched window and reads the
-/// following I/O block when exhausted (the paper's range-lookup phase 2).
-/// With readahead_blocks > 0 that read is widened to readahead_blocks io
-/// blocks: one synchronous span read, probed in the block cache first.
+/// lookup, then Next() advances inside the fetched window and reads on when
+/// the cursor leaves it (the paper's range-lookup phase 2). That read sizes
+/// itself: one io block after a Seek, doubling with each later read up to
+/// kMaxScanReadBlocks, so a short range reads little while a long scan or a
+/// compaction input streams in 64 KiB reads. The window's last io block
+/// holds the start of the entry straddling its end; it is carried into the
+/// next window, not read again.
 class TableReader::Iterator final : public TableIterator {
  public:
-  Iterator(TableReader* reader, bool fill_cache, size_t readahead_blocks)
-      : reader_(reader),
-        fill_cache_(fill_cache),
-        readahead_blocks_(readahead_blocks) {
+  Iterator(TableReader* reader, bool fill_cache)
+      : reader_(reader), fill_cache_(fill_cache) {
     window_.first = 1;  // holds no entry until the first read
   }
 
@@ -625,12 +628,14 @@ class TableReader::Iterator final : public TableIterator {
 
   void SeekToFirst() override {
     SettleReadahead();
+    read_blocks_ = 1;
     pos_ = 0;
     EnsureBuffered();
   }
 
   void Seek(Key target) override {
     SettleReadahead();
+    read_blocks_ = 1;
     if (reader_->count_ == 0) {
       pos_ = 0;
       return;
@@ -647,7 +652,7 @@ class TableReader::Iterator final : public TableIterator {
     size_t win_lo = 0, win_hi = 0;  // clamped: indexes the fetched buffer
     reader_->EntryWindow(target, nullptr, nullptr, 0, reader_->options_.stats,
                          &win_lo, &win_hi);
-    if (!ReadWindow(reader_->Align(win_lo, win_hi))) return;
+    if (!ReadWindow(reader_->Align(win_lo, win_hi), 0)) return;
     const size_t first = window_.first;
     const Key range_first = reader_->EntryKeyInBuffer(base_, first, win_lo);
     const Key range_last = reader_->EntryKeyInBuffer(base_, first, win_hi);
@@ -703,12 +708,14 @@ class TableReader::Iterator final : public TableIterator {
     return base_ + (pos_ - window_.first) * reader_->entry_size_;
   }
 
-  /// Reads `span` into the window with one inline span read. Its cache
-  /// probes count on the table's stats sink, but an uncached table's
+  /// Reads `span`, whose first `carried` bytes are already at the front of
+  /// the window's buffer, into the window with one inline span read. Its
+  /// cache probes count on the table's stats sink, but an uncached table's
   /// preads stay out of its kDiskRead timer, which belongs to point
   /// lookups.
-  bool ReadWindow(const AlignedSpan& span) {
+  bool ReadWindow(const AlignedSpan& span, uint64_t carried) {
     static_cast<AlignedSpan&>(window_) = span;
+    window_.carried = carried;
     const OpStats stats = reader_->options_.block_cache != nullptr
                               ? reader_->options_.stats
                               : OpStats();
@@ -718,9 +725,9 @@ class TableReader::Iterator final : public TableIterator {
     return status_.ok();
   }
 
-  /// Makes the window hold pos_ by reading the block holding it — with
-  /// readahead, readahead_blocks_ io blocks from that one, widened to hold
-  /// the entry whole.
+  /// Makes the window hold pos_: carries the old window's blocks from the
+  /// one holding pos_'s start, then reads read_blocks_ io blocks after
+  /// them (more if the entry needs it) and doubles read_blocks_.
   void EnsureBuffered() {
     if (!status_.ok() || pos_ >= reader_->count_ ||
         (pos_ >= window_.first && pos_ <= window_.last)) {
@@ -728,17 +735,26 @@ class TableReader::Iterator final : public TableIterator {
     }
     SettleReadahead();
     AlignedSpan span = reader_->Align(pos_, pos_);
-    const uint64_t byte_hi = std::min(
-        reader_->data_size_,
-        span.byte_lo + readahead_blocks_ * reader_->options_.io_block_size);
+    uint64_t carried = 0;
+    if (span.byte_lo >= window_.byte_lo && span.byte_lo < window_.byte_hi) {
+      carried = window_.byte_hi - span.byte_lo;
+      std::memmove(window_.buffer.data(),
+                   window_.buffer.data() + (span.byte_lo - window_.byte_lo),
+                   carried);
+    }
+    const uint64_t byte_hi =
+        std::min(reader_->data_size_,
+                 span.byte_lo + carried +
+                     read_blocks_ * reader_->options_.io_block_size);
     if (byte_hi > span.byte_hi) {
       span.byte_hi = byte_hi;
       span.last = static_cast<size_t>(byte_hi / reader_->entry_size_) - 1;
     }
-    ahead_window_ = ReadWindow(span) && readahead_blocks_ > 0;
+    read_blocks_ = std::min(read_blocks_ * 2, kMaxScanReadBlocks);
+    ahead_window_ = ReadWindow(span, carried);
   }
 
-  /// Counts a readahead window's io blocks up to the one holding the
+  /// Counts the io blocks a window read fetched up to the one holding the
   /// cursor's entry as kReadaheadHits and the rest, which the cursor never
   /// reached, as kReadaheadWasted. Runs before the cursor leaves the
   /// window.
@@ -748,28 +764,27 @@ class TableReader::Iterator final : public TableIterator {
     Stats* stats = reader_->options_.stats;
     if (stats == nullptr) return;
     const uint64_t block = reader_->options_.io_block_size;
+    const uint64_t read_lo = window_.byte_lo + window_.carried;
     const uint64_t reached = std::min(
         window_.byte_hi, uint64_t{pos_ + 1} * reader_->entry_size_);
-    const uint64_t hits = (reached - window_.byte_lo + block - 1) / block;
-    const uint64_t blocks =
-        (window_.byte_hi - window_.byte_lo + block - 1) / block;
+    const uint64_t hits = (reached - read_lo + block - 1) / block;
+    const uint64_t blocks = (window_.byte_hi - read_lo + block - 1) / block;
     stats->Add(Counter::kReadaheadHits, hits);
     if (blocks > hits) stats->Add(Counter::kReadaheadWasted, blocks - hits);
   }
 
   TableReader* const reader_;
   const bool fill_cache_;
-  const size_t readahead_blocks_;
   Status status_;
   Span window_;                 // the buffered entries
   const char* base_ = nullptr;  // window_'s entry window_.first
-  bool ahead_window_ = false;   // window_ is a readahead read, not settled
+  bool ahead_window_ = false;   // window_ is a window read, not settled
+  size_t read_blocks_ = 1;      // io blocks the next window read fetches
   size_t pos_ = 0;
 };
 
-std::unique_ptr<TableIterator> TableReader::NewIterator(
-    bool fill_cache, size_t readahead_blocks) {
-  return std::make_unique<Iterator>(this, fill_cache, readahead_blocks);
+std::unique_ptr<TableIterator> TableReader::NewIterator(bool fill_cache) {
+  return std::make_unique<Iterator>(this, fill_cache);
 }
 
 }  // namespace lilsm

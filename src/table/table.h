@@ -170,13 +170,15 @@ class TableReader {
 
   /// `fill_cache` = false keeps the iterator's block fetches from
   /// populating the block cache (scans and compaction inputs must not
-  /// evict the point-lookup hot set); cache hits are still served.
-  /// `readahead_blocks` > 0 widens each read the iterator makes when its
-  /// cursor leaves the window to that many io blocks, probed in the block
-  /// cache first, so a sequential scan reads in larger spans (0 = one
-  /// block read at a time).
-  std::unique_ptr<TableIterator> NewIterator(bool fill_cache = true,
-                                             size_t readahead_blocks = 0);
+  /// evict the point-lookup hot set); cache hits are still served. The
+  /// iterator sizes its own reads: after each Seek the read it makes when
+  /// its cursor leaves the window is one io block, and each later one
+  /// doubles, up to kMaxScanReadBlocks.
+  std::unique_ptr<TableIterator> NewIterator(bool fill_cache = true);
+
+  /// Cap of a scan's window read in io blocks: 64 KiB at the default
+  /// block size, the WAL reader's block.
+  static constexpr size_t kMaxScanReadBlocks = 16;
 
   uint64_t NumEntries() const { return count_; }
   Key MinKey() const { return min_key_; }
@@ -236,12 +238,16 @@ class TableReader {
   struct Span : AlignedSpan {
     std::string buffer;           // >= byte_hi - byte_lo bytes
     std::vector<bool> block_hit;  // cache probe result per io block
+    /// Leading whole io blocks already in the buffer (a scan window's
+    /// last block, carried into the next): never probed, read or cached.
+    uint64_t carried = 0;
     bool read_pending = false;    // issued, awaiting CompleteSpan
     ReadRequest req;
   };
-  /// Issue half: sizes the buffer and probes the block cache; a span
-  /// whose every block hits is done with zero Env reads. Otherwise the
-  /// span's one ReadRequest is added to `batch` (kAsyncReads) or, with no
+  /// Issue half: sizes the buffer and probes the block cache past the
+  /// carried bytes; a span whose every probed block hits is done with
+  /// zero Env reads. Otherwise the span's one ReadRequest, for the bytes
+  /// past the carried ones, is added to `batch` (kAsyncReads) or, with no
   /// batch, read at once (timed as kDiskRead).
   void IssueSpan(Span* span, ReadBatch* batch, OpStats stats);
   /// Complete half, after the batch's Wait: returns a failed read's
@@ -269,10 +275,11 @@ class TableReader {
   /// Bloom probe; false means the key is definitely absent. `stats` (may
   /// be null) overrides options_.stats for this call.
   bool MayContain(Key key, OpStats stats);
-  /// Cache probe of every io block of `span`: hit blocks are copied into
-  /// its buffer and flagged in its block_hit. True (counting
-  /// kBlockCacheHits) when every block hit: the span is assembled with
-  /// zero Env reads. Otherwise every block counts as a kBlockCacheMiss — a
+  /// Cache probe of every io block of `span` past its carried ones (which
+  /// are flagged as hits): hit blocks are copied into its buffer and
+  /// flagged in its block_hit. True (counting kBlockCacheHits) when every
+  /// probed block hit: the span is assembled with zero Env reads.
+  /// Otherwise every probed block counts as a kBlockCacheMiss — a
   /// partially warm span is refetched whole, so hit% agrees with the
   /// Env-read savings instead of overstating them.
   bool ProbeCachedSpan(Span* span, OpStats stats);

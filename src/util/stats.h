@@ -64,8 +64,8 @@ enum class Counter : int {
   kSubcompactions,     // compaction shards run by sharded compactions
   kAsyncBatches,       // ReadBatch::Wait calls that reached the Env
   kAsyncReads,         // read requests submitted through batches
-  kReadaheadHits,      // blocks of readahead windows the cursor reached
-  kReadaheadWasted,    // blocks of readahead windows it never reached
+  kReadaheadHits,      // io blocks of scan window reads the cursor reached
+  kReadaheadWasted,    // io blocks of scan window reads it never reached
   kServerRequests,     // request frames executed by the service layer
   kServerBatchKeys,    // keys carried by served Get/MultiGet frames
   kServerBytesIn,      // wire bytes read from client connections

@@ -1,11 +1,11 @@
-// Async batched I/O, DB level: MultiGet at io_depth > 1 and iterator
-// scans with readahead_blocks > 0 are bit-identical to the synchronous
-// paper path, cache on/off, and both index granularities; default knobs
-// keep the async machinery fully disengaged (zero async/readahead
-// counters, unchanged SimEnv read counts); and the
-// SimEnv queue-depth model shows batched cold reads costing less modeled
-// latency than the sequential path. Runs under TSan in CI — MultiGet at
-// io_depth > 1 exercises the thread-pool ReadBatch backend.
+// Async batched I/O, DB level: MultiGet at io_depth > 1 is bit-identical
+// to the synchronous paper path, cache on/off, and both index
+// granularities; default knobs keep the async machinery fully disengaged
+// (zero async counters, unchanged SimEnv read counts); scans size their
+// own reads (ramped window reads, each block read once, zero reads when
+// warm); and the SimEnv queue-depth model shows batched cold reads costing
+// less modeled latency than the sequential path. Runs under TSan in CI —
+// MultiGet at io_depth > 1 exercises the thread-pool ReadBatch backend.
 #include <string>
 #include <vector>
 
@@ -112,10 +112,27 @@ TEST(DbAsyncIoTest, AsyncMultiGetMatchesSyncBitExact) {
   }
 }
 
-// Full-scan and range-lookup equivalence: readahead on and off return the
-// identical entry sequence, cache off and on, with widened reads actually
-// used (kReadaheadHits advances on the readahead pass).
-TEST(DbAsyncIoTest, IteratorReadaheadMatchesSyncScan) {
+SimEnvOptions CountingSimOptions() {
+  SimEnvOptions sim_options;
+  sim_options.read_base_latency_ns = 0;  // count I/O, don't simulate it
+  sim_options.read_per_byte_ns = 0.0;
+  return sim_options;
+}
+
+/// Every entry of a full scan, in order.
+std::vector<std::pair<Key, std::string>> FullScan(DB* db) {
+  std::vector<std::pair<Key, std::string>> out;
+  auto iter = db->NewIterator();
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+    out.emplace_back(iter->key(), iter->value().ToString());
+  }
+  EXPECT_LILSM_OK(iter->status());
+  return out;
+}
+
+// Full scans and range lookups return every entry in order, cache off and
+// on, and their window reads count in the readahead counters.
+TEST(DbAsyncIoTest, ScansReturnEveryEntry) {
   ScratchDir dir("dbasync_scan");
   const std::vector<Key> keys = RandomGapKeys(5000, 5);
   for (size_t cache_bytes : {size_t{0}, size_t{512 << 10}}) {
@@ -125,43 +142,91 @@ TEST(DbAsyncIoTest, IteratorReadaheadMatchesSyncScan) {
         dir.path() + (cache_bytes == 0 ? "/cold" : "/cached"), &db));
     LoadAndCompact(db.get(), keys);
 
-    std::vector<std::pair<Key, std::string>> plain, ahead;
-    for (int pass = 0; pass < 2; pass++) {
-      ReadOptions ropts;
-      ropts.readahead_blocks = pass == 0 ? 0 : 4;
-      auto* out = pass == 0 ? &plain : &ahead;
-      auto iter = db->NewIterator(ropts);
-      for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-        out->emplace_back(iter->key(), iter->value().ToString());
-      }
-      ASSERT_LILSM_OK(iter->status());
+    const std::vector<std::pair<Key, std::string>> scan = FullScan(db.get());
+    ASSERT_EQ(scan.size(), keys.size());
+    for (size_t i = 0; i < keys.size(); i++) {
+      EXPECT_EQ(scan[i].first, keys[i]);
+      EXPECT_EQ(scan[i].second, ValueFor(keys[i]));
     }
-    EXPECT_EQ(plain.size(), keys.size());
-    EXPECT_EQ(plain, ahead);
     EXPECT_GT(db->stats()->Count(Counter::kReadaheadHits), 0u);
 
-    // RangeLookup threads readahead through the same iterators.
-    std::vector<std::pair<Key, std::string>> range_plain, range_ahead;
-    ReadOptions ra;
-    ra.readahead_blocks = 4;
-    ASSERT_LILSM_OK(db->RangeLookup(ReadOptions(), keys[keys.size() / 2],
-                                    200, &range_plain));
-    ASSERT_LILSM_OK(
-        db->RangeLookup(ra, keys[keys.size() / 2], 200, &range_ahead));
-    EXPECT_EQ(range_plain.size(), 200u);
-    EXPECT_EQ(range_plain, range_ahead);
+    const size_t mid = keys.size() / 2;
+    std::vector<std::pair<Key, std::string>> range;
+    ASSERT_LILSM_OK(db->RangeLookup(ReadOptions(), keys[mid], 200, &range));
+    EXPECT_EQ(range, decltype(range)(scan.begin() + mid,
+                                     scan.begin() + mid + 200));
   }
 }
 
-// A readahead read probes the block cache before it reads: after a
-// warm-up scan fills the cache, a full scan with readahead makes no Env
-// read at all and returns the same entries.
-TEST(DbAsyncIoTest, WarmCacheReadaheadScanMakesNoReads) {
+// A settled tree's cold full scan (cache off) reads each data block once,
+// in windows that double from one io block to kMaxScanReadBlocks per
+// table: at most the tables' data bytes plus one io block per table, in
+// at most 6 reads per table plus one per 16 data blocks.
+TEST(DbAsyncIoTest, ColdScanReadsEachBlockOnceInRampedWindows) {
+  ScratchDir dir("dbasync_ramp");
+  SimEnv env(Env::Default(), CountingSimOptions());
+  DBOptions options = SmallOptions(1);
+  options.sstable_target_size = 256 << 10;  // ~64 io blocks per table
+  options.env = &env;
+  std::unique_ptr<DB> db;
+  ASSERT_LILSM_OK(DB::Open(options, dir.path(), &db));
+  const std::vector<Key> keys = RandomGapKeys(20000, 23);
+  LoadAndCompact(db.get(), keys);
+  uint64_t tables = 0, entries = 0;
+  for (int level = 0; level < kNumLevels; level++) {
+    tables += db->NumFilesAtLevel(level);
+    entries += db->EntriesAtLevel(level);
+  }
+  ASSERT_EQ(entries, keys.size());
+  ASSERT_GE(tables, 4u);
+  const uint64_t block = kIoBlockSize;
+  const uint64_t data_bytes = entries * (options.key_size + 8 + kValueSize);
+  const uint64_t data_blocks = data_bytes / block + tables;  // upper bound
+
+  ASSERT_EQ(FullScan(db.get()).size(), keys.size());  // opens every reader
+  env.io_stats()->Reset();
+  ASSERT_EQ(FullScan(db.get()).size(), keys.size());
+  EXPECT_LE(env.io_stats()->random_read_bytes.load(),
+            data_bytes + tables * block);
+  EXPECT_LE(env.io_stats()->random_reads.load(),
+            tables * 6 + data_blocks / TableReader::kMaxScanReadBlocks);
+
+  // Seek resets the ramp: a short range read right after a full scan, on
+  // a fresh iterator (RangeLookup) or on the scan's own, reads no more
+  // bytes than the same range read before it.
+  const Key start = keys[keys.size() / 3];
+  std::vector<std::pair<Key, std::string>> range;
+  auto range_reads = [&](auto&& read) {
+    env.io_stats()->Reset();
+    read();
+    return env.io_stats()->random_read_bytes.load();
+  };
+  auto lookup = [&] {
+    ASSERT_LILSM_OK(db->RangeLookup(ReadOptions(), start, 100, &range));
+  };
+  const uint64_t before = range_reads(lookup);
+  ASSERT_EQ(FullScan(db.get()).size(), keys.size());
+  EXPECT_LE(range_reads(lookup), before);
+
+  auto iter = db->NewIterator();
+  auto seek_range = [&] {
+    iter->Seek(start);
+    for (int i = 0; i < 100 && iter->Valid(); i++) iter->Next();
+    ASSERT_LILSM_OK(iter->status());
+  };
+  const uint64_t iter_before = range_reads(seek_range);
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+  }
+  ASSERT_LILSM_OK(iter->status());
+  EXPECT_LE(range_reads(seek_range), iter_before);
+}
+
+// A window read probes the block cache before it reads: after a warm-up
+// scan fills the cache, a full scan makes no Env read at all and returns
+// the same entries.
+TEST(DbAsyncIoTest, WarmCacheScanMakesNoReads) {
   ScratchDir dir("dbasync_warm");
-  SimEnvOptions sim_options;
-  sim_options.read_base_latency_ns = 0;  // count I/O, don't simulate it
-  sim_options.read_per_byte_ns = 0.0;
-  SimEnv env(Env::Default(), sim_options);
+  SimEnv env(Env::Default(), CountingSimOptions());
   const std::vector<Key> keys = RandomGapKeys(5000, 17);
   DBOptions options = SmallOptions(1, 8 << 20);  // holds every block
   options.env = &env;
@@ -169,21 +234,11 @@ TEST(DbAsyncIoTest, WarmCacheReadaheadScanMakesNoReads) {
   ASSERT_LILSM_OK(DB::Open(options, dir.path(), &db));
   LoadAndCompact(db.get(), keys);
 
-  std::vector<std::pair<Key, std::string>> warm, ahead;
-  for (int pass = 0; pass < 2; pass++) {
-    ReadOptions ropts;
-    ropts.readahead_blocks = pass == 0 ? 0 : 4;
-    auto* out = pass == 0 ? &warm : &ahead;
-    env.io_stats()->Reset();
-    auto iter = db->NewIterator(ropts);
-    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-      out->emplace_back(iter->key(), iter->value().ToString());
-    }
-    ASSERT_LILSM_OK(iter->status());
-  }
+  const std::vector<std::pair<Key, std::string>> warm = FullScan(db.get());
+  env.io_stats()->Reset();
+  EXPECT_EQ(FullScan(db.get()), warm);
   EXPECT_EQ(env.io_stats()->random_reads.load(), 0u);
   EXPECT_EQ(warm.size(), keys.size());
-  EXPECT_EQ(warm, ahead);
   EXPECT_GT(db->stats()->Count(Counter::kReadaheadHits), 0u);
 }
 
@@ -207,15 +262,14 @@ TEST(DbAsyncIoLevelModelTest, AsyncMultiGetMatchesSyncLevelGranularity) {
   EXPECT_GT(async_db->stats()->Count(Counter::kAsyncBatches), 0u);
 }
 
-// Default knobs (io_depth=1, readahead_blocks=0) must keep the read path
-// exactly synchronous: no async/readahead counters move, and the SimEnv
-// device-read accounting matches a DB opened before the knobs existed
-// (i.e. with all-default options) to the exact read and byte count.
+// The default knob (io_depth=1) must keep the read path exactly
+// synchronous: no async counter moves, a full scan reads every block it
+// fetches, and the SimEnv device-read accounting matches a DB opened
+// before the knob existed (i.e. with all-default options) to the exact
+// read and byte count.
 TEST(DbAsyncIoDefaultsTest, SyncDefaultsKeepExactReadCounts) {
   ScratchDir dir("dbasync_defaults");
-  SimEnvOptions sim_options;
-  sim_options.read_base_latency_ns = 0;  // count I/O, don't simulate it
-  sim_options.read_per_byte_ns = 0.0;
+  const SimEnvOptions sim_options = CountingSimOptions();
   const std::vector<Key> keys = RandomGapKeys(4000, 11);
 
   uint64_t reads[2], bytes[2];
@@ -234,7 +288,6 @@ TEST(DbAsyncIoDefaultsTest, SyncDefaultsKeepExactReadCounts) {
     env.io_stats()->Reset();
     std::string value;
     ReadOptions ropts;
-    ropts.readahead_blocks = 0;
     for (size_t i = 0; i < keys.size(); i += 3) {
       ASSERT_LILSM_OK(db->Get(ropts, keys[i], &value));
     }
@@ -252,7 +305,6 @@ TEST(DbAsyncIoDefaultsTest, SyncDefaultsKeepExactReadCounts) {
 
     EXPECT_EQ(db->stats()->Count(Counter::kAsyncBatches), 0u);
     EXPECT_EQ(db->stats()->Count(Counter::kAsyncReads), 0u);
-    EXPECT_EQ(db->stats()->Count(Counter::kReadaheadHits), 0u);
     EXPECT_EQ(db->stats()->Count(Counter::kReadaheadWasted), 0u);
     EXPECT_EQ(db->stats()->TimerCount(Timer::kAsyncReap), 0u);
   }

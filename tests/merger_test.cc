@@ -1,4 +1,5 @@
-// Merging iterator: ordering, newest-first tie-breaks, seeks.
+// Merging iterator: ordering, newest-first tie-breaks, seeks, and a
+// child's error ending the merge.
 #include "lsm/merger.h"
 
 #include <gtest/gtest.h>
@@ -22,6 +23,34 @@ std::unique_ptr<TableIterator> MemIter(
   keepalive->push_back(std::move(mem));
   return iter;
 }
+
+/// Wraps a child and fails with an IOError on its `fail_at`-th Next().
+class FailingIterator final : public TableIterator {
+ public:
+  FailingIterator(std::unique_ptr<TableIterator> base, int fail_at)
+      : base_(std::move(base)), fail_at_(fail_at) {}
+
+  bool Valid() const override { return status_.ok() && base_->Valid(); }
+  void SeekToFirst() override { base_->SeekToFirst(); }
+  void Seek(Key target) override { base_->Seek(target); }
+  void Next() override {
+    if (++nexts_ == fail_at_) {
+      status_ = Status::IOError("injected child failure");
+    } else {
+      base_->Next();
+    }
+  }
+  Key key() const override { return base_->key(); }
+  uint64_t tag() const override { return base_->tag(); }
+  Slice value() const override { return base_->value(); }
+  Status status() const override { return status_; }
+
+ private:
+  std::unique_ptr<TableIterator> base_;
+  const int fail_at_;
+  int nexts_ = 0;
+  Status status_;
+};
 
 TEST(MergerTest, EmptyChildren) {
   auto merged = NewMergingIterator({});
@@ -69,6 +98,26 @@ TEST(MergerTest, SeekPositionsAllChildren) {
   EXPECT_EQ(merged->key(), 30u);
   merged->Seek(71);
   EXPECT_FALSE(merged->Valid());
+}
+
+// A child that fails mid-stream ends the merge with its error: the merge
+// never skips it to serve an older version of a key it holds (20's).
+TEST(MergerTest, ChildErrorEndsTheMerge) {
+  std::vector<std::unique_ptr<MemTable>> keep;
+  std::vector<std::unique_ptr<TableIterator>> children;
+  children.push_back(MemIter({{10, 1, "old"}, {20, 2, "old"}}, &keep));
+  children.push_back(std::make_unique<FailingIterator>(
+      MemIter({{5, 3, "new"}, {10, 4, "new"}, {20, 5, "new"}}, &keep),
+      /*fail_at=*/2));
+  auto merged = NewMergingIterator(std::move(children));
+
+  std::vector<std::pair<Key, std::string>> seen;
+  for (merged->SeekToFirst(); merged->Valid(); merged->Next()) {
+    seen.emplace_back(merged->key(), merged->value().ToString());
+  }
+  EXPECT_EQ(seen, (std::vector<std::pair<Key, std::string>>{{5, "new"},
+                                                             {10, "new"}}));
+  EXPECT_TRUE(merged->status().IsIOError()) << merged->status().ToString();
 }
 
 TEST(MergerTest, RandomizedAgainstReference) {
