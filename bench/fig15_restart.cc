@@ -1,18 +1,16 @@
 // Figure 15 (beyond the paper): restart time with persisted learned
-// models. One compacted level-granularity tree is opened three ways —
+// models. One compacted level-granularity tree is opened two ways —
 //
-//   sidecar   kCompactionMaintained + kSidecar: models stitched from the
-//             tables' persisted sidecar blocks (zero key scans)
-//   retrain   kCompactionMaintained + kRetrainOnOpen: models rebuilt
-//             from a full key scan at open
-//   lazy      kLazyRebuild: open does no model work; the first reads pay
-//             the full-level scans instead
+//   maintained  kCompactionMaintained: open stitches each level model
+//               from the segments its tables' own index blobs export
+//               (zero key scans)
+//   lazy        kLazyRebuild: open does no model work; the first reads
+//               pay the full-level scans (ModelCatalog::TrainFull) instead
 //
 // — reporting DB::Open wall time, first-read latency, and the mean of
-// the first 100 reads, plus the model-load counters that prove where the
-// work went. A running checksum over identical read sequences proves all
-// three opens serve bit-identical results. Results also land in
-// BENCH_pr10.json (cwd) for CI artifact upload.
+// the first 100 reads, plus the model counters that prove where the
+// work went. A running checksum over identical read sequences proves both
+// opens serve bit-identical results.
 //
 //   fig15_restart            # full sweep
 //   fig15_restart --n 4000   # the smoke_fig15_restart ctest entry
@@ -33,15 +31,11 @@ namespace {
 struct Mode {
   const char* name;
   LevelModelPolicy policy;
-  ModelPersistence persistence;
 };
 
 constexpr Mode kModes[] = {
-    {"sidecar", LevelModelPolicy::kCompactionMaintained,
-     ModelPersistence::kSidecar},
-    {"retrain", LevelModelPolicy::kCompactionMaintained,
-     ModelPersistence::kRetrainOnOpen},
-    {"lazy", LevelModelPolicy::kLazyRebuild, ModelPersistence::kSidecar},
+    {"maintained", LevelModelPolicy::kCompactionMaintained},
+    {"lazy", LevelModelPolicy::kLazyRebuild},
 };
 constexpr size_t kNumModes = std::size(kModes);
 
@@ -49,8 +43,7 @@ struct ModeResult {
   double open_ms = 0;
   double first_read_us = 0;
   double mean100_read_us = 0;
-  uint64_t models_from_disk = 0;
-  uint64_t sidecar_fallbacks = 0;
+  uint64_t models_stitched = 0;
   uint64_t model_build_bytes = 0;
   uint64_t checksum = 0;
 };
@@ -76,14 +69,13 @@ DBOptions RestartOptions(const ExperimentDefaults& d, const Mode& mode) {
   options.value_size = d.value_size;
   options.index_granularity = IndexGranularity::kLevel;
   options.level_model_policy = mode.policy;
-  options.model_persistence = mode.persistence;
   options.index_config = IndexConfig::FromPositionBoundary(64);
   return options;
 }
 
 Status RunMode(const Mode& mode, const ExperimentDefaults& d,
-               const std::string& dbdir, const std::vector<Key>& keys,
-               const std::vector<Key>& probes, ModeResult* result) {
+               const std::string& dbdir, const std::vector<Key>& probes,
+               ModeResult* result) {
   Env* env = Env::Default();
   DBOptions options = RestartOptions(d, mode);
   std::unique_ptr<DB> db;
@@ -114,10 +106,8 @@ Status RunMode(const Mode& mode, const ExperimentDefaults& d,
   result->checksum = checksum;
 
   const Stats& stats = *db->stats();
-  result->models_from_disk = stats.Count(Counter::kModelsLoadedFromDisk);
-  result->sidecar_fallbacks = stats.Count(Counter::kModelSidecarFallbacks);
+  result->models_stitched = stats.Count(Counter::kModelsStitched);
   result->model_build_bytes = stats.Count(Counter::kModelBuildBytesRead);
-  (void)keys;
   return Status::OK();
 }
 
@@ -161,10 +151,10 @@ int main(int argc, char** argv) {
 
   ReportTable table("Figure 15: open + first-read cost by model source");
   table.SetHeader({"mode", "open_ms", "first_read_us", "mean100_read_us",
-                   "models_from_disk", "model_scan_MB"});
+                   "models_stitched", "model_scan_MB"});
   ModeResult results[kNumModes];
   for (size_t m = 0; m < kNumModes; m++) {
-    Status s = RunMode(kModes[m], d, dbdir, keys, probes, &results[m]);
+    Status s = RunMode(kModes[m], d, dbdir, probes, &results[m]);
     if (!s.ok()) {
       std::fprintf(stderr, "fig15 %s: %s\n", kModes[m].name,
                    s.ToString().c_str());
@@ -173,7 +163,7 @@ int main(int argc, char** argv) {
     table.AddRow({kModes[m].name, FormatMicros(results[m].open_ms),
                   FormatMicros(results[m].first_read_us),
                   FormatMicros(results[m].mean100_read_us),
-                  std::to_string(results[m].models_from_disk),
+                  std::to_string(results[m].models_stitched),
                   FormatMicros(results[m].model_build_bytes / 1048576.0)});
   }
   table.Emit();
@@ -191,33 +181,12 @@ int main(int argc, char** argv) {
               kNumModes,
               static_cast<unsigned long long>(results[0].checksum));
   if (results[0].model_build_bytes != 0) {
-    std::fprintf(stderr, "fig15: sidecar open scanned %llu key bytes\n",
+    std::fprintf(stderr, "fig15: maintained open scanned %llu key bytes\n",
                  static_cast<unsigned long long>(
                      results[0].model_build_bytes));
     return 1;
   }
 
-  FILE* json = std::fopen("BENCH_pr10.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\"bench\":\"fig15_restart\",\"n\":%zu,\"modes\":[",
-                 d.num_keys);
-    for (size_t m = 0; m < kNumModes; m++) {
-      const ModeResult& r = results[m];
-      std::fprintf(
-          json,
-          "%s{\"mode\":\"%s\",\"open_ms\":%.3f,\"first_read_us\":%.2f,"
-          "\"mean100_read_us\":%.2f,\"models_from_disk\":%llu,"
-          "\"sidecar_fallbacks\":%llu,\"model_build_bytes\":%llu}",
-          m == 0 ? "" : ",", kModes[m].name, r.open_ms, r.first_read_us,
-          r.mean100_read_us,
-          static_cast<unsigned long long>(r.models_from_disk),
-          static_cast<unsigned long long>(r.sidecar_fallbacks),
-          static_cast<unsigned long long>(r.model_build_bytes));
-    }
-    std::fprintf(json, "]}\n");
-    std::fclose(json);
-    std::printf("# wrote BENCH_pr10.json\n");
-  }
   {
     DBOptions options = RestartOptions(d, kModes[0]);
     DB::Destroy(options, dbdir);

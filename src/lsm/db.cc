@@ -97,9 +97,7 @@ class DBImpl final : public DB {
     }
     table_cache_ = std::make_unique<TableCache>(MakeTableOptions(), dbname_,
                                                 options_.max_open_tables);
-    model_catalog_ = std::make_unique<ModelCatalog>(
-        env_, &stats_, dbname_,
-        options_.model_persistence == ModelPersistence::kSidecar);
+    model_catalog_ = std::make_unique<ModelCatalog>(env_, &stats_);
     mem_ = new MemTable();
     mem_->Ref();
   }
@@ -1374,15 +1372,9 @@ class DBImpl final : public DB {
     for (int level = 1; level < kNumLevels; level++) {
       if (v.files(level).empty()) continue;
       LevelModelRef model;
-      Status s =
-          options_.model_persistence == ModelPersistence::kRetrainOnOpen
-              ? model_catalog_->TrainFull(v.files(level), table_cache_.get(),
-                                          options_.index_type,
-                                          options_.index_config,
-                                          Timer::kModelRetrain, &model)
-              : model_catalog_->BuildForInstall(
-                    v.files(level), table_cache_.get(), options_.index_type,
-                    options_.index_config, nullptr, &model);
+      Status s = model_catalog_->BuildForInstall(
+          v.files(level), table_cache_.get(), options_.index_type,
+          options_.index_config, nullptr, &model);
       if (s.ok()) v.models()->Publish(level, std::move(model));
     }
   }

@@ -74,20 +74,6 @@ enum class LevelModelPolicy : uint8_t {
   kCompactionMaintained = 1,
 };
 
-/// How DB::Open under kCompactionMaintained obtains the level models for
-/// the recovered tree (see DESIGN.md "Durability & recovery").
-enum class ModelPersistence : uint8_t {
-  /// Default: stitch from each table's persisted model sidecar — two
-  /// preads per file, zero key scans (Counter::kModelsLoadedFromDisk).
-  /// Missing or corrupt sidecars fall back per file to the in-memory
-  /// reader export (Counter::kModelSidecarFallbacks).
-  kSidecar = 0,
-  /// Rebuild every level model from a full key scan at open time — the
-  /// slowest, model-bit-exact baseline the sidecar path is compared
-  /// against.
-  kRetrainOnOpen = 1,
-};
-
 /// Which executor runs LSM maintenance (flush, compaction) jobs.
 enum class ConcurrencyMode : uint8_t {
   /// The calling thread runs every claimable job before it returns; a
@@ -219,8 +205,6 @@ struct DBOptions {
 
   /// Level-model lifecycle for IndexGranularity::kLevel (see DESIGN.md).
   LevelModelPolicy level_model_policy = LevelModelPolicy::kLazyRebuild;
-  /// Where open-time level models come from under kCompactionMaintained.
-  ModelPersistence model_persistence = ModelPersistence::kSidecar;
 
   /// fdatasync the WAL on every write (off for benchmarks, matching the
   /// paper's setup; recovery tests turn it on).

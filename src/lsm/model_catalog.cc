@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "lsm/dbformat.h"
-#include "table/segment_sidecar.h"
 #include "util/mutex.h"
 
 namespace lilsm {
@@ -37,6 +36,7 @@ void VersionModels::Clear() {
   for (Slot& slot : slots_) {
     WriterMutexLock lock(&slot.mu);
     slot.model.reset();
+    slot.corrupt = false;
   }
 }
 
@@ -53,28 +53,6 @@ size_t VersionModels::MemoryUsage() const {
 // ModelCatalog
 // ---------------------------------------------------------------------------
 
-bool ModelCatalog::LoadFromSidecar(const FileMeta& meta, FileSegments* out) {
-  SegmentSidecar sidecar;
-  Status s =
-      ReadSegmentSidecar(env_, TableFileName(dbname_, meta.number), &sidecar);
-  if (s.ok() && sidecar.entries != meta.entries) {
-    // A stale or mixed-up sidecar; the manifest's entry count is truth.
-    s = Status::Corruption("segment sidecar: entry count mismatch");
-  }
-  if (!s.ok()) {
-    // Missing (pre-sidecar table, non-exporting index type) or corrupt:
-    // either way the reader-export path still works.
-    if (stats_ != nullptr) stats_->Add(Counter::kModelSidecarFallbacks);
-    return false;
-  }
-  out->entries = sidecar.entries;
-  out->epsilon = sidecar.epsilon;
-  out->segments = std::make_shared<const std::vector<LinearSegment>>(
-      std::move(sidecar.segments));
-  if (stats_ != nullptr) stats_->Add(Counter::kModelsLoadedFromDisk);
-  return true;
-}
-
 Status ModelCatalog::ExportFileSegments(const FileMeta& meta,
                                         TableCache* cache, bool* supported,
                                         FileSegments* out) {
@@ -86,11 +64,6 @@ Status ModelCatalog::ExportFileSegments(const FileMeta& meta,
       *out = it->second;
       return Status::OK();
     }
-  }
-  if (sidecar_first_ && LoadFromSidecar(meta, out)) {
-    MutexLock lock(&cache_mu_);
-    file_segments_.emplace(meta.number, *out);
-    return Status::OK();
   }
   std::shared_ptr<TableReader> reader;
   Status s = cache->GetReader(meta.number, &reader);
@@ -232,11 +205,13 @@ LevelModelRef ModelCatalog::GetOrBuild(const Version& v, int level,
   // scan+train, and a later lookup retries.
   if (!slot.mu.TryLockShared()) return nullptr;
   LevelModelRef published = slot.model;
+  const bool corrupt = slot.corrupt;
   slot.mu.UnlockShared();
-  if (published != nullptr) return published;
+  if (published != nullptr || corrupt) return published;
 
   if (!slot.mu.TryLock()) return nullptr;
-  if (slot.model != nullptr) {  // raced: another builder published first
+  // Raced: another builder published, or met a corrupt table, first.
+  if (slot.model != nullptr || slot.corrupt) {
     published = slot.model;
     slot.mu.Unlock();
     return published;
@@ -250,8 +225,9 @@ LevelModelRef ModelCatalog::GetOrBuild(const Version& v, int level,
   Status s =
       TrainFull(files, cache, type, config, Timer::kLevelIndexBuild, &model);
   if (!s.ok()) {
+    slot.corrupt = s.IsCorruption();
     slot.mu.Unlock();
-    return nullptr;  // the per-file fallback surfaces I/O errors
+    return nullptr;  // the per-file fallback surfaces the error
   }
   slot.model = model;
   slot.mu.Unlock();

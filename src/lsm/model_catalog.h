@@ -21,9 +21,11 @@
 //    model by offset remapping over the cumulative-entries vector,
 //    touching only the changed files and re-reading zero keys
 //    (Timer::kModelStitch). A full retrain (Timer::kModelRetrain) remains
-//    as a quality fallback when the stitched segment density blows past a
-//    configurable ratio of the level's best observed density, or when the
+//    as a quality fallback when the stitched segment density blows past
+//    kStitchBlowup times the level's best observed density, or when the
 //    configured index type cannot stitch (RMI, splines, fence pointers).
+//    DB::Open stitches the same way: each table's own index blob is the
+//    one persisted model, and its reader exports the segments.
 #ifndef LILSM_LSM_MODEL_CATALOG_H_
 #define LILSM_LSM_MODEL_CATALOG_H_
 
@@ -92,6 +94,10 @@ class VersionModels {
   struct Slot {
     mutable SharedMutex mu;
     LevelModelRef model GUARDED_BY(mu);
+    /// A lazy build hit a corrupt table: this version's file list cannot
+    /// train, so readers stop rescanning the level until a new version
+    /// (or a reconfiguration) replaces the slot.
+    bool corrupt GUARDED_BY(mu) = false;
   };
   Slot slots_[kNumLevels];
 };
@@ -103,18 +109,7 @@ class ModelCatalog {
   /// baseline density.
   static constexpr double kStitchBlowup = 4.0;
 
-  /// With `sidecar_first` set (and a non-empty `dbname` to resolve table
-  /// paths), a segment-cache miss first tries the file's persisted model
-  /// sidecar — two preads, no reader construction, no key scan
-  /// (Counter::kModelsLoadedFromDisk) — and only falls back to opening
-  /// the reader and exporting its in-memory index on a missing or
-  /// corrupt sidecar (Counter::kModelSidecarFallbacks).
-  ModelCatalog(Env* env, Stats* stats, std::string dbname = std::string(),
-               bool sidecar_first = false)
-      : env_(env),
-        stats_(stats),
-        dbname_(std::move(dbname)),
-        sidecar_first_(sidecar_first && !dbname_.empty()) {}
+  ModelCatalog(Env* env, Stats* stats) : env_(env), stats_(stats) {}
 
   /// What to do when a stitch is not possible (segment-density blow-up
   /// past kStitchBlowup, or a file whose in-memory index cannot
@@ -148,7 +143,8 @@ class ModelCatalog {
   /// Read path (kLazyRebuild): version-pinned get-or-build. Returns null
   /// when the slot is busy (another thread building or predicting under
   /// the exclusive side) or the build fails — the caller falls back to
-  /// the per-file index and retries on a later lookup.
+  /// the per-file index and retries on a later lookup, unless the build
+  /// failed with Corruption, which no retry on this version can mend.
   LevelModelRef GetOrBuild(const Version& v, int level, TableCache* cache,
                            IndexType type, const IndexConfig& config);
 
@@ -196,19 +192,15 @@ class ModelCatalog {
     std::shared_ptr<const std::vector<LinearSegment>> segments;
   };
 
-  /// Cache-or-export the file's segments; false when the reader's index
-  /// type is not segment-based (caller falls back to TrainFull).
+  /// The file's segments from the per-file cache, else exported by its
+  /// reader (opening it if needed); `*supported` is false when the
+  /// reader's index type is not segment-based (caller falls back to
+  /// TrainFull).
   Status ExportFileSegments(const FileMeta& meta, TableCache* cache,
                             bool* supported, FileSegments* out);
 
-  /// The sidecar-first half of ExportFileSegments: true when the file's
-  /// persisted sidecar yielded a usable FileSegments.
-  bool LoadFromSidecar(const FileMeta& meta, FileSegments* out);
-
   Env* const env_;
   Stats* const stats_;
-  const std::string dbname_;
-  const bool sidecar_first_;
   mutable Mutex cache_mu_;
   /// Per-file trained segments keyed by file number (numbers are never
   /// reused).

@@ -41,10 +41,9 @@ struct BlockHandle {
 /// Fixed-size trailer of every table file:
 ///   meta_handle | bloom_handle | index_handle | segments_handle
 ///   | padding | magic(8B)
-/// segments_handle names the model sidecar — the trained index's leaf
-/// segments, re-loadable at DB::Open without a key scan. A zero handle
-/// (offset 0, size 0) means the table carries no sidecar (index types
-/// that cannot export segments).
+/// segments_handle is reserved: new tables write it empty (offset 0,
+/// size 0) and readers ignore it. Older tables may name a copy of the
+/// index's leaf segments there; the index blob is the persisted model.
 struct Footer {
   BlockHandle meta_handle;
   BlockHandle bloom_handle;

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "table/segment_sidecar.h"
-
 namespace lilsm {
 
 namespace {
@@ -150,24 +148,6 @@ Status TableBuilder::Finish() {
                                     &footer.index_handle);
     if (!status_.ok()) return status_;
     offset_ += footer.index_handle.size;
-  }
-
-  // Model sidecar: the index's leaf segments in the ModelCatalog's stitch
-  // format, so a restart rebuilds level models from two preads per file
-  // instead of a reader open or a key scan. Index types that cannot
-  // export segments write none (zero handle).
-  {
-    SegmentSidecar sidecar;
-    sidecar.index_type = options_.index_type;
-    sidecar.entries = keys_.size();
-    if (index->ExportSegments(&sidecar.segments, &sidecar.epsilon)) {
-      std::string sidecar_block;
-      EncodeSegmentSidecar(sidecar, &sidecar_block);
-      status_ = WriteChecksummedBlock(file_.get(), offset_, sidecar_block,
-                                      &footer.segments_handle);
-      if (!status_.ok()) return status_;
-      offset_ += footer.segments_handle.size;
-    }
   }
 
   MetaBlock meta;
@@ -650,8 +630,8 @@ class TableReader::Iterator final : public TableIterator {
     }
 
     size_t win_lo = 0, win_hi = 0;  // clamped: indexes the fetched buffer
-    reader_->EntryWindow(target, nullptr, nullptr, 0, reader_->options_.stats,
-                         &win_lo, &win_hi);
+    reader_->EntryWindow(target, nullptr, nullptr, 0, SampledStats(), &win_lo,
+                         &win_hi);
     if (!ReadWindow(reader_->Align(win_lo, win_hi), 0)) return;
     const size_t first = window_.first;
     const Key range_first = reader_->EntryKeyInBuffer(base_, first, win_lo);
@@ -708,6 +688,15 @@ class TableReader::Iterator final : public TableIterator {
     return base_ + (pos_ - window_.first) * reader_->entry_size_;
   }
 
+  /// The table's stats sink for one Seek or window read. A scan Seeks
+  /// every table child and reads windows as it goes, so these timers are
+  /// sampled like a Get's stages: every count stays exact, one call in
+  /// kTimerSampleRate reads the clock.
+  OpStats SampledStats() const {
+    Stats* stats = reader_->options_.stats;
+    return stats != nullptr ? stats->SampleOp() : OpStats();
+  }
+
   /// Reads `span`, whose first `carried` bytes are already at the front of
   /// the window's buffer, into the window with one inline span read. Its
   /// cache probes count on the table's stats sink, but an uncached table's
@@ -717,7 +706,7 @@ class TableReader::Iterator final : public TableIterator {
     static_cast<AlignedSpan&>(window_) = span;
     window_.carried = carried;
     const OpStats stats = reader_->options_.block_cache != nullptr
-                              ? reader_->options_.stats
+                              ? SampledStats()
                               : OpStats();
     reader_->IssueSpan(&window_, nullptr, stats);
     status_ = reader_->CompleteSpan(&window_, fill_cache_, stats);

@@ -9,7 +9,6 @@
 //                    value_size bytes value
 //   [bloom block]  checksummed bloom filter over the user keys
 //   [index blob]   checksummed EncodeIndexWithType() of the trained index
-//   [sidecar]      checksummed leaf segments of the index (optional)
 //   [meta block]   checksummed table parameters (geometry, count, range)
 //   [footer]       handles + magic
 //

@@ -1,7 +1,7 @@
 // CRC32C (Castagnoli) checksums: one implementation behind every
 // checksummed byte lilsm writes or reads — wire frames (server and client),
-// WAL and MANIFEST records, checksummed table blocks (meta, bloom and index)
-// and segment sidecars.
+// WAL and MANIFEST records, and checksummed table blocks (meta, bloom and
+// index).
 //
 // Extend picks its body once, on first use, from the CPU: the SSE4.2 crc32
 // instruction on x86-64 CPUs that have it, otherwise a portable

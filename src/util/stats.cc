@@ -121,10 +121,6 @@ const char* CounterName(Counter c) {
       return "server_bytes_out";
     case Counter::kWalRecordsReplayed:
       return "wal_records_replayed";
-    case Counter::kModelsLoadedFromDisk:
-      return "models_loaded_from_disk";
-    case Counter::kModelSidecarFallbacks:
-      return "model_sidecar_fallbacks";
     default:
       return "unknown";
   }

@@ -71,8 +71,6 @@ enum class Counter : int {
   kServerBytesIn,      // wire bytes read from client connections
   kServerBytesOut,     // wire bytes written to client connections
   kWalRecordsReplayed,   // WAL records re-applied during recovery
-  kModelsLoadedFromDisk,  // per-file models loaded from segment sidecars
-  kModelSidecarFallbacks,  // sidecar loads that fell back to the reader
   kNumCounters
 };
 

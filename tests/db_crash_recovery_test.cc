@@ -3,8 +3,8 @@
 // exact prefix of the committed write sequence — nothing invented, no
 // gaps, and (under sync_wal) nothing acked lost. Also the CURRENT-install
 // step-crash matrix, the typed mid-log corruption refusal, and the
-// persisted-model sidecar paths (zero-key-scan opens, corrupt-sidecar
-// fallback).
+// maintained open that stitches level models from each table's own index
+// (zero key scans; a corrupt index blob fails only its own table).
 //
 // Schedule count: LILSM_TORTURE_SCHEDULES (default 1000). CI's sanitizer
 // jobs bound it; a local `LILSM_TORTURE_SCHEDULES=20000 ./db_crash_
@@ -24,6 +24,7 @@
 #include "lsm/wal.h"
 #include "lsm/write_batch.h"
 #include "table/format.h"
+#include "table/table.h"
 #include "tests/test_util.h"
 #include "util/fault_env.h"
 #include "util/random.h"
@@ -457,112 +458,139 @@ TEST(DbCrashRecoveryTest, MidWalCorruptionRefusesToOpen) {
 }
 
 // ---------------------------------------------------------------------------
-// Persisted learned models: the sidecar open path.
+// Persisted learned models: each table's index blob, stitched at open.
 // ---------------------------------------------------------------------------
 
-DBOptions MaintainedOptions(ModelPersistence persistence) {
+DBOptions ModelOptions(LevelModelPolicy policy) {
   DBOptions options;
   options.value_size = kValueSize;
   options.write_buffer_size = 8 << 10;
   options.sstable_target_size = 16 << 10;
   options.l0_compaction_trigger = 2;
   options.index_granularity = IndexGranularity::kLevel;
-  options.level_model_policy = LevelModelPolicy::kCompactionMaintained;
-  options.model_persistence = persistence;
+  options.level_model_policy = policy;
   options.index_type = IndexType::kPGM;
   return options;
 }
 
-// Builds a compacted DB whose tables all carry sidecars; returns the keys.
+// Builds a compacted, maintained-model DB; returns the keys.
 std::vector<Key> BuildMaintainedDb(const std::string& dbname) {
   std::vector<Key> keys = testing_util::RandomGapKeys(1200, 77);
   std::unique_ptr<DB> db;
-  EXPECT_LILSM_OK(DB::Open(MaintainedOptions(ModelPersistence::kSidecar),
-                           dbname, &db));
+  EXPECT_LILSM_OK(DB::Open(
+      ModelOptions(LevelModelPolicy::kCompactionMaintained), dbname, &db));
   for (Key k : keys) EXPECT_LILSM_OK(db->Put(k, ValueAt(k, 0)));
   EXPECT_LILSM_OK(db->CompactAll());
+  EXPECT_EQ(db->NumFilesAtLevel(0), 0);
   return keys;
 }
 
-TEST(ModelPersistenceTest, SidecarOpenReadsZeroKeys) {
-  ScratchDir dir("sidecar");
+TEST(PersistedModelTest, MaintainedOpenStitchesWithZeroKeyScans) {
+  ScratchDir dir("models");
   const std::string dbname = dir.file("db");
   const std::vector<Key> keys = BuildMaintainedDb(dbname);
 
-  // Open from sidecars: models stitched from disk, zero key-scan bytes.
+  // Open: level models stitched from the tables' own indexes, zero
+  // key-scan bytes, one model_load span.
   std::unique_ptr<DB> db;
-  ASSERT_LILSM_OK(
-      DB::Open(MaintainedOptions(ModelPersistence::kSidecar), dbname, &db));
-  EXPECT_GT(db->stats()->Count(Counter::kModelsLoadedFromDisk), 0u);
-  EXPECT_EQ(db->stats()->Count(Counter::kModelSidecarFallbacks), 0u);
+  ASSERT_LILSM_OK(DB::Open(
+      ModelOptions(LevelModelPolicy::kCompactionMaintained), dbname, &db));
+  EXPECT_GT(db->stats()->Count(Counter::kModelsStitched), 0u);
   EXPECT_EQ(db->stats()->Count(Counter::kModelBuildBytesRead), 0u)
-      << "sidecar open scanned keys";
-  EXPECT_GT(db->stats()->TimerCount(Timer::kModelLoad), 0u);
+      << "maintained open scanned keys";
+  EXPECT_EQ(db->stats()->TimerCount(Timer::kModelLoad), 1u);
   EXPECT_GT(db->stats()->TimerCount(Timer::kRecover), 0u);
 
-  // And the stitched models serve bit-identical results to a catalog
-  // retrained from a full key scan.
-  std::vector<std::string> sidecar_values(keys.size());
+  std::vector<std::string> maintained_values(keys.size());
   for (size_t i = 0; i < keys.size(); i++) {
-    ASSERT_LILSM_OK(db->Get(keys[i], &sidecar_values[i]));
+    ASSERT_LILSM_OK(db->Get(keys[i], &maintained_values[i]));
   }
+  EXPECT_EQ(db->stats()->Count(Counter::kModelBuildBytesRead), 0u)
+      << "maintained reads retrained a level";
+
+  // The stitched models serve bit-identical results to level models
+  // trained from a full key scan (a lazy open's first reads).
   db.reset();
-  ASSERT_LILSM_OK(DB::Open(MaintainedOptions(ModelPersistence::kRetrainOnOpen),
-                           dbname, &db));
-  EXPECT_GT(db->stats()->Count(Counter::kModelBuildBytesRead), 0u)
-      << "retrain-on-open did not scan keys";
-  EXPECT_EQ(db->stats()->Count(Counter::kModelsLoadedFromDisk), 0u);
+  ASSERT_LILSM_OK(
+      DB::Open(ModelOptions(LevelModelPolicy::kLazyRebuild), dbname, &db));
+  EXPECT_EQ(db->stats()->Count(Counter::kModelsStitched), 0u);
   std::string value;
   for (size_t i = 0; i < keys.size(); i++) {
     ASSERT_LILSM_OK(db->Get(keys[i], &value));
-    ASSERT_EQ(value, sidecar_values[i]) << "key " << keys[i];
+    ASSERT_EQ(value, maintained_values[i]) << "key " << keys[i];
   }
+  EXPECT_GT(db->stats()->Count(Counter::kModelBuildBytesRead), 0u)
+      << "lazy reads trained no level model";
 }
 
-TEST(ModelPersistenceTest, CorruptSidecarFallsBackAndServes) {
-  ScratchDir dir("sidecar");
+TEST(PersistedModelTest, CorruptIndexBlobFailsOnlyItsTable) {
+  ScratchDir dir("models");
   const std::string dbname = dir.file("db");
   const std::vector<Key> keys = BuildMaintainedDb(dbname);
 
-  // Flip one byte inside every table's sidecar block (found through the
-  // footer), leaving the rest of each file intact.
+  // The first table file (all tables are at L>=1 after CompactAll): read
+  // its keys, then flip one byte inside its index blob, leaving the
+  // rest of the file intact.
   std::vector<std::string> children;
   ASSERT_LILSM_OK(Env::Default()->GetChildren(dbname, &children));
-  int mangled = 0;
+  std::sort(children.begin(), children.end());
+  std::string path;
+  int tables = 0;
   for (const std::string& name : children) {
     uint64_t number = 0;
     if (ParseFileName(name, &number) != FileKind::kTableFile) continue;
-    const std::string path = dbname + "/" + name;
+    if (path.empty()) path = dbname + "/" + name;
+    tables++;
+  }
+  ASSERT_GT(tables, 1);
+  TableOptions table_options;
+  table_options.env = Env::Default();
+  table_options.value_size = kValueSize;
+  std::vector<Key> corrupt_keys;
+  Footer footer;
+  {
+    std::unique_ptr<TableReader> reader;
+    ASSERT_LILSM_OK(TableReader::Open(table_options, path, &reader));
+    ASSERT_LILSM_OK(reader->ReadAllKeys(&corrupt_keys));
     uint64_t file_size = 0;
     ASSERT_LILSM_OK(Env::Default()->GetFileSize(path, &file_size));
-    Footer footer;
-    {
-      std::unique_ptr<RandomAccessFile> file;
-      ASSERT_LILSM_OK(Env::Default()->NewRandomAccessFile(path, &file));
-      ASSERT_LILSM_OK(ReadFooter(file.get(), file_size, &footer));
-    }
-    ASSERT_GT(footer.segments_handle.size, 0u) << path << " has no sidecar";
-    std::string contents;
-    ASSERT_LILSM_OK(ReadFileToString(Env::Default(), path, &contents));
-    const size_t at = static_cast<size_t>(footer.segments_handle.offset);
-    contents[at] = static_cast<char>(contents[at] ^ 0x01);
-    ASSERT_LILSM_OK(WriteStringToFile(Env::Default(), contents, path));
-    mangled++;
+    std::unique_ptr<RandomAccessFile> file;
+    ASSERT_LILSM_OK(Env::Default()->NewRandomAccessFile(path, &file));
+    ASSERT_LILSM_OK(ReadFooter(file.get(), file_size, &footer));
   }
-  ASSERT_GT(mangled, 0);
+  ASSERT_FALSE(corrupt_keys.empty());
+  ASSERT_LT(corrupt_keys.size(), keys.size());
+  std::string contents;
+  ASSERT_LILSM_OK(ReadFileToString(Env::Default(), path, &contents));
+  const size_t at = static_cast<size_t>(footer.index_handle.offset +
+                                        footer.index_handle.size / 2);
+  contents[at] = static_cast<char>(contents[at] ^ 0x01);
+  ASSERT_LILSM_OK(WriteStringToFile(Env::Default(), contents, path));
 
-  // Open still succeeds: every sidecar load fails its checksum and falls
-  // back to the reader-export path, and queries stay correct.
+  // Open still succeeds. The damaged table answers Corruption, never
+  // NotFound or a wrong value; every other table serves.
   std::unique_ptr<DB> db;
-  ASSERT_LILSM_OK(
-      DB::Open(MaintainedOptions(ModelPersistence::kSidecar), dbname, &db));
-  EXPECT_GT(db->stats()->Count(Counter::kModelSidecarFallbacks), 0u);
-  EXPECT_EQ(db->stats()->Count(Counter::kModelsLoadedFromDisk), 0u);
+  ASSERT_LILSM_OK(DB::Open(
+      ModelOptions(LevelModelPolicy::kCompactionMaintained), dbname, &db));
   std::string value;
+  for (Key k : corrupt_keys) {
+    Status s = db->Get(k, &value);
+    ASSERT_TRUE(s.IsCorruption()) << "key " << k << ": " << s.ToString();
+  }
+  size_t served = 0;
   for (Key k : keys) {
+    if (std::binary_search(corrupt_keys.begin(), corrupt_keys.end(), k)) {
+      continue;
+    }
     ASSERT_LILSM_OK(db->Get(k, &value));
     ASSERT_EQ(value, ValueAt(k, 0)) << "key " << k;
+    served++;
   }
+  EXPECT_EQ(served, keys.size() - corrupt_keys.size());
+  // The damaged level's model could not be stitched at open; the first
+  // read's full-level train met the Corruption, and no later read
+  // rescanned the level.
+  EXPECT_EQ(db->stats()->TimerCount(Timer::kLevelIndexBuild), 1u);
 }
 
 // The WAL-records-replayed counter is visible after a recovering open.

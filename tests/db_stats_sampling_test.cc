@@ -404,5 +404,92 @@ TEST(StatsSamplingCostTest, EmptyLevel0ReadsNoClock) {
   EXPECT_EQ(env.clock_reads(), 2 * RecordedSpans(per_call));
 }
 
+// A scan Seeks every table child (predicting in each whose key range
+// holds the target) and reads windows as it goes, so a table iterator's
+// kIndexPredict and, with a block cache, kDiskRead timers sample on the
+// DB-wide sink as a Get's stages do: counts stay exact, and one call in
+// kTimerSampleRate reads the clock.
+TEST(StatsSamplingCostTest, ScansSampleTheirTableTimers) {
+  for (const size_t cache_bytes : {size_t{0}, size_t{64} << 10}) {
+    SCOPED_TRACE("block cache bytes " + std::to_string(cache_bytes));
+    ScratchDir dir("sampling_scan");
+    SteppingClockEnv env;
+    DBOptions options = TreeOptions(&env);
+    options.write_buffer_size = 4 << 20;  // flushes only when asked
+    options.sstable_target_size = 4 << 20;
+    options.block_cache_bytes = cache_bytes;
+    std::unique_ptr<DB> db;
+    ASSERT_LILSM_OK(DB::Open(options, dir.path(), &db));
+
+    // Four L0 files, file f holding keys[i] for i % 4 == f, so each spans
+    // nearly the whole key range.
+    constexpr size_t kFiles = 4;
+    const std::vector<Key> keys = EvenKeys(20000, 59);
+    for (size_t f = 0; f < kFiles; f++) {
+      for (size_t i = f; i < keys.size(); i += kFiles) {
+        ASSERT_LILSM_OK(db->Put(keys[i], ValueFor(keys[i], 0)));
+      }
+      ASSERT_LILSM_OK(db->FlushMemTable());
+    }
+    ASSERT_EQ(db->NumFilesAtLevel(0), static_cast<int>(kFiles));
+
+    // Seek targets, present and absent, and the table Seeks that predict:
+    // a table predicts when min_key < target <= max_key.
+    constexpr size_t kSeeks = 16384;
+    std::vector<Key> targets;
+    uint64_t predicting_seeks = 0;
+    Random rnd(61);
+    for (size_t s = 0; s < kSeeks; s++) {
+      const Key key = keys[rnd.Uniform(keys.size())];
+      const Key target = s % 2 == 1 ? key + 1 : key;
+      targets.push_back(target);
+      for (size_t f = 0; f < kFiles; f++) {
+        const size_t last = (keys.size() - 1 - f) / kFiles * kFiles + f;
+        if (keys[f] < target && target <= keys[last]) predicting_seeks++;
+      }
+    }
+
+    std::unique_ptr<Iterator> iter = db->NewIterator();
+    iter->Seek(keys[keys.size() / 2]);  // opens every reader
+    ASSERT_TRUE(iter->Valid());
+    db->stats()->Reset();
+    env.ResetClockReads();
+    for (Key target : targets) {
+      iter->Seek(target);
+      for (int n = 0; n < 4 && iter->Valid(); n++) iter->Next();
+      ASSERT_LILSM_OK(iter->status());
+    }
+    const uint64_t clock_reads = env.clock_reads();
+    const Stats& stats = *db->stats();
+
+    // Every predicting table Seek counts, and every window read that
+    // missed the cache (an uncached table's reads stay untimed).
+    EXPECT_EQ(stats.TimerCount(Timer::kIndexPredict), predicting_seeks);
+    const uint64_t disk_reads = stats.TimerCount(Timer::kDiskRead);
+    if (cache_bytes == 0) {
+      EXPECT_EQ(disk_reads, 0u);
+    } else {
+      EXPECT_GT(disk_reads, kSeeks);
+    }
+    // A timed span reads two clocks, one step apart, and records that
+    // step scaled by the rate.
+    const uint64_t weight = kTimerSampleRate * SteppingClockEnv::kStepNanos;
+    const uint64_t timed = (stats.TimeNanos(Timer::kIndexPredict) +
+                            stats.TimeNanos(Timer::kDiskRead)) /
+                           weight;
+    EXPECT_EQ(clock_reads, 2 * timed);
+    EXPECT_GT(timed, 0u);
+    EXPECT_LT(timed, (predicting_seeks + disk_reads) / 8);
+    // The scaled times are unbiased estimates of timing every call.
+    for (Timer t : {Timer::kIndexPredict, Timer::kDiskRead}) {
+      const double exact = static_cast<double>(stats.TimerCount(t) *
+                                               SteppingClockEnv::kStepNanos);
+      EXPECT_NEAR(static_cast<double>(stats.TimeNanos(t)), exact,
+                  0.10 * exact)
+          << TimerName(t);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace lilsm

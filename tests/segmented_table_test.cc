@@ -367,6 +367,77 @@ TEST(SegmentedTableFileTest, EmptyFileFailsCleanly) {
           .IsCorruption());
 }
 
+// The footer's fourth handle is reserved: new tables write it empty, and
+// a reader ignores it, so tables that still name a segments block there
+// open and serve unchanged.
+TEST(SegmentedTableFileTest, NewTablesWriteAnEmptySegmentsHandle) {
+  ScratchDir dir("segfmt");
+  // The segment-based index types, which could export their segments.
+  for (IndexType type :
+       {IndexType::kPGM, IndexType::kPLR, IndexType::kFITingTree}) {
+    const std::string fname = dir.file("t.lst");
+    ASSERT_LILSM_OK(
+        BuildTable(MakeOptions(type, 32), fname, RandomGapKeys(2000, 11)));
+    std::string contents;
+    ASSERT_LILSM_OK(ReadFileToString(Env::Default(), fname, &contents));
+    Footer footer;
+    Slice tail(contents.data() + contents.size() - Footer::kEncodedLength,
+               Footer::kEncodedLength);
+    ASSERT_LILSM_OK(footer.DecodeFrom(&tail));
+    EXPECT_EQ(footer.segments_handle.offset, 0u) << IndexTypeName(type);
+    EXPECT_EQ(footer.segments_handle.size, 0u) << IndexTypeName(type);
+    // The index blob ends where the meta block starts.
+    EXPECT_EQ(footer.index_handle.offset + footer.index_handle.size,
+              footer.meta_handle.offset)
+        << IndexTypeName(type);
+  }
+}
+
+TEST(SegmentedTableFileTest, IgnoresANamedSegmentsBlock) {
+  ScratchDir dir("segfmt");
+  const TableOptions options = MakeOptions(IndexType::kPGM, 32);
+  const std::string fname = dir.file("t.lst");
+  const std::vector<Key> keys = RandomGapKeys(2000, 12);
+  ASSERT_LILSM_OK(BuildTable(options, fname, keys));
+
+  // Lay the file out as older tables were: a checksummed block between
+  // the index blob and the meta block, named by the fourth handle.
+  std::string contents;
+  ASSERT_LILSM_OK(ReadFileToString(Env::Default(), fname, &contents));
+  Footer footer;
+  Slice tail(contents.data() + contents.size() - Footer::kEncodedLength,
+             Footer::kEncodedLength);
+  ASSERT_LILSM_OK(footer.DecodeFrom(&tail));
+  const std::string meta_block =
+      contents.substr(footer.meta_handle.offset, footer.meta_handle.size);
+  std::string segments_block(96, '\xab');
+  PutFixed32(&segments_block, crc32c::Mask(crc32c::Value(
+                                  segments_block.data(), segments_block.size())));
+  contents.resize(footer.meta_handle.offset);
+  footer.segments_handle.offset = contents.size();
+  footer.segments_handle.size = segments_block.size();
+  contents += segments_block;
+  footer.meta_handle.offset = contents.size();
+  contents += meta_block;
+  std::string footer_block;
+  footer.EncodeTo(&footer_block);
+  ASSERT_EQ(footer_block.size(), Footer::kEncodedLength);
+  contents += footer_block;
+  ASSERT_LILSM_OK(WriteStringToFile(Env::Default(), contents, fname));
+
+  std::unique_ptr<TableReader> reader;
+  ASSERT_LILSM_OK(TableReader::Open(options, fname, &reader));
+  EXPECT_EQ(reader->NumEntries(), keys.size());
+  for (Key key : keys) {
+    std::string value;
+    uint64_t tag = 0;
+    bool found = false;
+    ASSERT_LILSM_OK(ReaderGet(reader.get(), key, &value, &tag, &found));
+    ASSERT_TRUE(found) << key;
+    ASSERT_EQ(value, DeriveValue(key, kValueSize)) << key;
+  }
+}
+
 /// Meta block fields, in encoding order after the format version.
 struct MetaFields {
   uint32_t version = 0;
